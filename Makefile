@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify bench bench-curve bench-gate chaos soak recycle-soak fleet-soak serve-smoke
+.PHONY: build test vet race verify bench bench-curve bench-gate bench-pins chaos soak recycle-soak fleet-soak serve-smoke
 
 build:
 	$(GO) build ./...
@@ -87,6 +87,16 @@ bench:
 		| $(GO) run ./scripts/benchjson -label recycle -out $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench LockdownEscalation -benchmem -benchtime 3x . \
 		| $(GO) run ./scripts/benchjson -label lockdown -out $(BENCH_OUT)
+	$(GO) test -run '^$$' -bench $(MICRO_BENCH) -benchmem -cpu 1 $(MICRO_PKGS) \
+		| $(GO) run ./scripts/benchjson -label micro -out $(BENCH_OUT)
+
+# Layer microbenchmarks: the sim event core, one netsim port hop, and the
+# netstack checksum. Their allocs/op are gated by bench-gate (the event
+# core's Timer and a port hop must stay allocation-free). They are
+# single-threaded, so they run at -cpu 1 and keep one benchmark name on
+# every machine.
+MICRO_BENCH = 'ScheduleStep|TimerReset|PortHop|Checksum1460'
+MICRO_PKGS  = ./internal/sim ./internal/netsim ./internal/netstack
 
 # Scaling curve: the dense sharded farm (serial vs sharded vs external
 # shards) and the parallel gateway datapath at 1, 2, and 4 CPUs,
@@ -104,7 +114,8 @@ bench-curve:
 # supervisor section additionally gates recovery_ms — virtual crash-to-
 # healthy time, deterministic per seed — at 5%, and the recycle section
 # gates specimens_day (virtual recycling throughput, higher is better)
-# against a 5% decrease. Run this alongside `make verify` before landing
+# against a 5% decrease, and the micro section gates the layer
+# microbenchmarks' allocs/op. Run this alongside `make verify` before landing
 # datapath, supervision, or lifecycle changes.
 bench-gate:
 	$(GO) test -run '^$$' -bench ScalabilityGateway -benchmem -benchtime 3x . \
@@ -115,3 +126,12 @@ bench-gate:
 		| $(GO) run ./scripts/benchjson -compare recycle -out $(BENCH_OUT) -max-specimens-regress 5
 	$(GO) test -run '^$$' -bench LockdownEscalation -benchmem -benchtime 3x . \
 		| $(GO) run ./scripts/benchjson -compare lockdown -out $(BENCH_OUT) -max-lockdown-regress 5
+	$(GO) test -run '^$$' -bench $(MICRO_BENCH) -benchmem -cpu 1 $(MICRO_PKGS) \
+		| $(GO) run ./scripts/benchjson -compare micro -out $(BENCH_OUT)
+
+# Pinned journal digests: the farm benchmark's smoke runs, whose seed-1
+# journals must hash to the digests pinned in farmbench/bench_test.go.
+# Any change to event order, RNG draws or journal bytes moves them, so
+# this is the behaviour-preservation check for performance work.
+bench-pins:
+	cd farmbench && $(GO) test -count=1 .

@@ -287,7 +287,7 @@ type gwSender struct {
 	pending []gwSeg
 	finQued bool
 
-	timer   *sim.Event
+	timer   *sim.Timer
 	retries int
 	dead    bool
 }
@@ -299,7 +299,9 @@ type gwSeg struct {
 }
 
 func newGwSender(f *Flow, rt route) *gwSender {
-	return &gwSender{f: f, rt: rt, una: f.initISS, nextSeq: f.initISS}
+	s := &gwSender{f: f, rt: rt, una: f.initISS, nextSeq: f.initISS}
+	s.timer = f.r.sim.NewTimer(s.retransmit)
+	return s
 }
 
 func (s *gwSender) sendSYN() {
@@ -316,7 +318,7 @@ func (s *gwSender) sendSYN() {
 func (s *gwSender) onEstablished() {
 	s.una = s.nextSeq
 	s.retries = 0
-	s.cancelTimer()
+	s.timer.Stop()
 	// Handshake ACK.
 	s.transmitSeg(&netstack.TCP{
 		SrcPort: s.f.initPort, DstPort: s.f.actualPort,
@@ -386,7 +388,7 @@ func (s *gwSender) onAck(ack uint32) {
 	}
 	s.pending = kept
 	if len(s.pending) == 0 {
-		s.cancelTimer()
+		s.timer.Stop()
 		if s.f.initAborted && !s.dead {
 			// Replay delivered; mirror the initiator's abrupt teardown.
 			s.sendRST()
@@ -414,10 +416,7 @@ func (s *gwSender) sendRST() {
 	s.stop()
 }
 
-func (s *gwSender) arm() {
-	s.cancelTimer()
-	s.timer = s.f.r.sim.Schedule(time.Second, s.retransmit)
-}
+func (s *gwSender) arm() { s.timer.Reset(time.Second) }
 
 func (s *gwSender) retransmit() {
 	if s.dead {
@@ -443,16 +442,9 @@ func (s *gwSender) retransmit() {
 	s.arm()
 }
 
-func (s *gwSender) cancelTimer() {
-	if s.timer != nil {
-		s.timer.Cancel()
-		s.timer = nil
-	}
-}
-
 func (s *gwSender) stop() {
 	s.dead = true
-	s.cancelTimer()
+	s.timer.Stop()
 }
 
 // --- token bucket for LIMIT ---

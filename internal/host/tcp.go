@@ -86,10 +86,10 @@ type Conn struct {
 	oooFinSeq uint32
 	finRcvd   bool
 
-	rtx      *sim.Event
+	rtx      *sim.Timer
 	retries  int
 	rto      time.Duration
-	timeWait *sim.Event
+	timeWait *sim.Timer  // armed once, on entering TIME_WAIT
 	acceptFn func(*Conn) // deferred listener callback for passive opens
 
 	// OnConnect fires when the connection reaches ESTABLISHED (for both
@@ -149,7 +149,7 @@ func (h *Host) Dial(dst netstack.Addr, port uint16) *Conn {
 }
 
 func (h *Host) newConn(localPort uint16, rip netstack.Addr, rport uint16) *Conn {
-	return &Conn{
+	c := &Conn{
 		host:      h,
 		key:       connKey{localPort: localPort, remoteIP: rip, remotePort: rport},
 		localPort: localPort, remoteIP: rip, remotePort: rport,
@@ -157,6 +157,8 @@ func (h *Host) newConn(localPort uint16, rip netstack.Addr, rport uint16) *Conn 
 		sndWnd: DefaultWindow,
 		ooo:    make(map[uint32][]byte),
 	}
+	c.rtx = h.sim.NewTimer(c.retransmit)
+	return c
 }
 
 // Write queues application data for transmission. Writing after Close or on
@@ -258,12 +260,7 @@ func (c *Conn) sendSegment(flags uint8, seq, ack uint32, payload []byte) {
 	c.host.sendIP(c.remoteIP, netstack.ProtoTCP, seg)
 }
 
-func (c *Conn) armRetransmit() {
-	if c.rtx != nil {
-		c.rtx.Cancel()
-	}
-	c.rtx = c.host.sim.Schedule(c.rto, c.retransmit)
-}
+func (c *Conn) armRetransmit() { c.rtx.Reset(c.rto) }
 
 // resetRTO is called whenever the peer acknowledges forward progress: the
 // retry budget refills and the timeout collapses back to the initial value.
@@ -324,11 +321,9 @@ func (c *Conn) destroy(err error) {
 	c.state = StateClosed
 	c.ooo = nil // sweep any stale reassembly stash with the conn
 	c.oooFin = false
-	if c.rtx != nil {
-		c.rtx.Cancel()
-	}
+	c.rtx.Stop()
 	if c.timeWait != nil {
-		c.timeWait.Cancel()
+		c.timeWait.Stop()
 	}
 	delete(c.host.conns, c.key)
 	if c.OnClose != nil {
@@ -443,7 +438,7 @@ func (c *Conn) handleSegment(t *netstack.TCP, payload []byte) {
 			c.sndUna = t.Ack
 			c.state = StateEstablished
 			c.resetRTO()
-			c.rtx.Cancel()
+			c.rtx.Stop()
 			c.sendSegment(netstack.FlagACK, c.sndNxt, c.rcvNxt, nil)
 			if c.OnConnect != nil {
 				c.OnConnect()
@@ -457,7 +452,7 @@ func (c *Conn) handleSegment(t *netstack.TCP, payload []byte) {
 			c.sndUna = t.Ack
 			c.state = StateEstablished
 			c.resetRTO()
-			c.rtx.Cancel()
+			c.rtx.Stop()
 			if c.acceptFn != nil {
 				c.acceptFn(c)
 				c.acceptFn = nil
@@ -486,17 +481,17 @@ func (c *Conn) handleSegment(t *netstack.TCP, payload []byte) {
 		if c.finSent && t.Ack == c.sndNxt {
 			dataAcked-- // FIN consumed one sequence number
 		}
-		if int(dataAcked) <= len(c.sndBuf) {
+		if int(dataAcked) < len(c.sndBuf) {
 			c.sndBuf = c.sndBuf[dataAcked:]
 		} else {
+			// Fully acknowledged: drop the buffer rather than keep an
+			// empty tail slice pinning the whole written object.
 			c.sndBuf = nil
 		}
 		c.sndUna = t.Ack
 		c.resetRTO()
 		if c.sndUna == c.sndNxt {
-			if c.rtx != nil {
-				c.rtx.Cancel()
-			}
+			c.rtx.Stop()
 			// Entire send space acknowledged: advance closing states.
 			if c.finSent {
 				switch c.state {
@@ -650,10 +645,9 @@ func (c *Conn) handleFIN() {
 
 func (c *Conn) enterTimeWait() {
 	c.state = StateTimeWait
-	if c.rtx != nil {
-		c.rtx.Cancel()
-	}
+	c.rtx.Stop()
 	if c.timeWait == nil {
-		c.timeWait = c.host.sim.Schedule(timeWaitDuration, func() { c.destroy(nil) })
+		c.timeWait = c.host.sim.NewTimer(func() { c.destroy(nil) })
+		c.timeWait.Reset(timeWaitDuration)
 	}
 }

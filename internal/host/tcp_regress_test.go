@@ -213,3 +213,28 @@ func TestAllocEphemeralTrueExhaustion(t *testing.T) {
 	}()
 	h.allocEphemeral()
 }
+
+// TestTCPReleasesAckedSendBuffer: once every written byte is acknowledged
+// the connection drops its send buffer, so a long-lived idle connection
+// does not pin the last object it wrote.
+func TestTCPReleasesAckedSendBuffer(t *testing.T) {
+	s := sim.New(1)
+	a, b := pair(t, s)
+	var received int
+	b.Listen(9000, func(c *Conn) {
+		c.OnData = func(d []byte) { received += len(d) }
+	})
+	const total = 512 << 10
+	c := a.Dial(b.Addr(), 9000)
+	c.OnConnect = func() { c.Write(make([]byte, total)) }
+	s.RunFor(10 * time.Second)
+	if received != total {
+		t.Fatalf("received %d of %d bytes", received, total)
+	}
+	if c.State() != StateEstablished {
+		t.Fatalf("state %v, want ESTABLISHED", c.State())
+	}
+	if c.sndBuf != nil {
+		t.Fatalf("acked conn still holds a send buffer: len %d cap %d", len(c.sndBuf), cap(c.sndBuf))
+	}
+}

@@ -359,3 +359,23 @@ func TestSendOwnedRespectsLossAndDown(t *testing.T) {
 		t.Fatal("downed SendOwned delivered")
 	}
 }
+
+// BenchmarkPortHop measures one frame crossing a link: transmit-side
+// bookkeeping, the in-flight FIFO, and receive-side bookkeeping, with a
+// window of 32 frames in flight as on a busy TCP splice.
+func BenchmarkPortHop(b *testing.B) {
+	s := sim.New(1)
+	a := NewPort(s, "a", nil)
+	peer := NewPort(s, "b", func([]byte) {})
+	Connect(a, peer, 0)
+	frame := make([]byte, 1514)
+	for i := 0; i < 32; i++ {
+		a.SendOwned(frame)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.SendOwned(frame)
+		s.Step()
+	}
+}

@@ -55,6 +55,7 @@ type Port struct {
 	sim     *sim.Simulator
 	recv    func(frame []byte)
 	peer    *Port
+	pipe    *sim.Pipe[[]byte] // frames in flight to a same-domain peer
 	latency time.Duration
 	up      bool
 
@@ -155,6 +156,10 @@ func Connect(a, b *Port, latency time.Duration) {
 	}
 	a.peer, b.peer = b, a
 	a.latency, b.latency = latency, latency
+	if a.sim == b.sim {
+		a.pipe = sim.NewPipe(a.sim, b.receive)
+		b.pipe = sim.NewPipe(b.sim, a.receive)
+	}
 }
 
 // Connected reports whether the port has a peer.
@@ -239,19 +244,21 @@ func (p *Port) delay() time.Duration {
 	return d
 }
 
-// deliver schedules the (now callee-owned) buffer at the peer. When the
-// peer lives in another simulation domain the frame crosses via PostTo:
+// deliver schedules the (now callee-owned) buffer at the peer. A peer in
+// the same domain gets it through the link's Pipe, which keeps the frames
+// in flight in a FIFO behind a single queued event. When the peer lives
+// in another simulation domain the frame crosses via PostTo:
 // buffer ownership transfers with the message (no copy), and all receive
 // bookkeeping runs in the receiving domain. Connect guarantees the link
 // latency is at least the coordinator's lookahead, so the clamp in PostTo
 // never fires for frame delivery.
 func (p *Port) deliver(buf []byte, after time.Duration) {
-	peer := p.peer
-	if peer.sim != p.sim {
-		p.sim.PostTo(peer.sim, after, func() { peer.receive(buf) })
+	if p.pipe != nil {
+		p.pipe.Send(after, buf)
 		return
 	}
-	p.sim.Schedule(after, func() { peer.receive(buf) })
+	peer := p.peer
+	p.sim.PostTo(peer.sim, after, func() { peer.receive(buf) })
 }
 
 // receive runs the receiving-side bookkeeping and hands the frame to the

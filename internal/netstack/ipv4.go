@@ -3,6 +3,7 @@ package netstack
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // IPv4 is an IPv4 header without options (IHL always 5). GQ's gateway
@@ -82,19 +83,34 @@ func (ip *IPv4) Unmarshal(b []byte) ([]byte, error) {
 // initial partial sum. The result is the ones-complement value ready to be
 // stored; a checksum over data that already includes a valid checksum field
 // yields zero.
+//
+// The ones-complement sum does not depend on word size (2^64 ≡ 2^16 ≡ 1
+// modulo 2^16-1), so b is summed eight bytes at a time on a 64-bit carry
+// chain and folded down to 16 bits at the end.
 func Checksum(b []byte, initial uint32) uint16 {
-	sum := initial
-	for len(b) >= 2 {
-		sum += uint32(b[0])<<8 | uint32(b[1])
-		b = b[2:]
+	sum, carry := uint64(initial), uint64(0)
+	for len(b) >= 32 {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[8:]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[16:]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[24:]), carry)
+		b = b[32:]
 	}
-	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
+	for len(b) >= 8 {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b), carry)
+		b = b[8:]
 	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
+	if len(b) > 0 {
+		// Zero-pad the tail: an odd last byte is the high half of its word.
+		var tail [8]byte
+		copy(tail[:], b)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(tail[:]), carry)
 	}
-	return ^uint16(sum)
+	s := sum>>32 + sum&0xffffffff + carry
+	for s>>16 != 0 {
+		s = s&0xffff + s>>16
+	}
+	return ^uint16(s)
 }
 
 // pseudoHeaderSum computes the partial sum of the TCP/UDP pseudo-header.

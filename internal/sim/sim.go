@@ -1,6 +1,14 @@
 // Package sim provides a deterministic discrete-event simulation engine:
-// a virtual clock, an event queue with stable FIFO ordering among
-// simultaneous events, cancellable timers, and a seeded random source.
+// a virtual clock, an event queue, cancellable events, reusable timers,
+// per-link delivery FIFOs, and a seeded random source.
+//
+// Every callback fires in (at, seq) order: by virtual time, and among
+// equal times in the order it was scheduled. The queue holds live events
+// only; Cancel removes an event at once. Timer and Pipe reuse one queued
+// event for many firings without changing any callback's (at, seq) key,
+// so they cut allocations without moving the firing order. Cancel, Reset
+// and Stop mutate the queue and must run on the owning simulator's loop.
+// DESIGN.md §3l states the contract.
 //
 // All of GQ's simulated machinery (links, hosts, protocol stacks, malware
 // specimens, reimaging controllers) runs on a single Simulator. Virtual
@@ -10,7 +18,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -20,13 +27,14 @@ import (
 	"gq/internal/obs"
 )
 
-// Event is a scheduled callback. Events with equal firing times run in the
-// order they were scheduled.
+// Event is a scheduled callback. Events fire in (at, seq) order: by
+// firing time, and among equal times in the order they were scheduled.
 type Event struct {
 	at    time.Duration
 	seq   uint64
 	fn    func()
-	idx   int // heap index; -1 once removed
+	sim   *Simulator
+	idx   int // queue index; -1 while not queued
 	dead  bool
 	fired bool
 }
@@ -34,11 +42,17 @@ type Event struct {
 // At reports the virtual time at which the event fires.
 func (e *Event) At() time.Duration { return e.at }
 
-// Cancel prevents a pending event from firing. Cancelling an already-fired
-// or already-cancelled event is a no-op.
+// Cancel prevents a pending event from firing and removes it from the
+// queue at once. Cancelling an already-fired or already-cancelled event is
+// a no-op. Like every queue mutation it must run on the loop of the
+// simulator that owns the event.
 func (e *Event) Cancel() {
-	if e != nil && !e.fired {
-		e.dead = true
+	if e == nil || e.fired {
+		return
+	}
+	e.dead = true
+	if e.idx >= 0 {
+		e.sim.remove(e.idx)
 	}
 }
 
@@ -49,35 +63,6 @@ func (e *Event) Cancelled() bool { return e.dead }
 
 // Fired reports whether the event's callback has run.
 func (e *Event) Fired() bool { return e.fired }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
-	return e
-}
 
 // Simulator is a single-threaded discrete-event scheduler. It is not safe
 // for concurrent use; all simulated components run inside event callbacks.
@@ -91,7 +76,7 @@ func (h *eventHeap) Pop() any {
 type Simulator struct {
 	now    time.Duration
 	seq    uint64
-	queue  eventHeap
+	queue  queue
 	rng    *rand.Rand
 	seed   int64
 	halted bool
@@ -193,9 +178,9 @@ func (s *Simulator) ScheduleAt(at time.Duration, fn func()) *Event {
 	if at < s.now {
 		at = s.now
 	}
-	e := &Event{at: at, seq: s.seq, fn: fn}
+	e := &Event{at: at, seq: s.seq, fn: fn, sim: s}
 	s.seq++
-	heap.Push(&s.queue, e)
+	s.push(e)
 	return e
 }
 
@@ -215,8 +200,9 @@ func (s *Simulator) Resume() { s.halted = false }
 // Halted reports whether the simulator is currently halted.
 func (s *Simulator) Halted() bool { return s.halted }
 
-// Pending reports the number of events in the queue, including cancelled
-// events that have not yet been discarded.
+// Pending reports the number of events in the queue. Every queued event
+// is live: Cancel removes an event at once. A Pipe keeps one queued event
+// however many items it has in flight.
 func (s *Simulator) Pending() int { return len(s.queue) }
 
 // Step executes the next pending event, advancing the clock to its firing
@@ -225,18 +211,16 @@ func (s *Simulator) Step() bool {
 	if s.injectN.Load() != 0 {
 		s.drainInjected()
 	}
-	for len(s.queue) > 0 && !s.halted {
-		e := heap.Pop(&s.queue).(*Event)
-		if e.dead {
-			continue
-		}
-		s.setNow(e.at)
-		e.fired = true
-		s.Fired++
-		e.fn()
-		return true
+	if len(s.queue) == 0 || s.halted {
+		return false
 	}
-	return false
+	e := s.queue[0].ev
+	s.remove(0)
+	s.setNow(e.at)
+	e.fired = true
+	s.Fired++
+	e.fn()
+	return true
 }
 
 // Run drains the event queue completely (or until Halt).
@@ -270,23 +254,52 @@ func (s *Simulator) RunUntil(deadline time.Duration) {
 func (s *Simulator) RunFor(d time.Duration) { s.RunUntil(s.now + d) }
 
 func (s *Simulator) peek() (time.Duration, bool) {
-	for len(s.queue) > 0 {
-		e := s.queue[0]
-		if e.dead {
-			heap.Pop(&s.queue)
-			continue
-		}
-		return e.at, true
+	if len(s.queue) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return s.queue[0].at, true
 }
+
+// Timer is a reusable event: one callback that can be armed, re-armed and
+// stopped any number of times without allocating. It suits protocol
+// timers (retransmission, TIME_WAIT) that are pushed back on every ACK.
+type Timer struct{ ev Event }
+
+// NewTimer returns an unarmed timer that runs fn each time it fires.
+func (s *Simulator) NewTimer(fn func()) *Timer {
+	if fn == nil {
+		panic("sim: nil timer function")
+	}
+	return &Timer{ev: Event{fn: fn, sim: s, idx: -1}}
+}
+
+// Reset (re)arms the timer to fire after d of virtual time (a negative d
+// counts as zero). A pending firing is dropped first. The new firing takes
+// a fresh sequence number, exactly as Cancel followed by Schedule would,
+// so the firing order is the same as with one-shot events.
+func (t *Timer) Reset(d time.Duration) {
+	e := &t.ev
+	s := e.sim
+	if e.idx >= 0 {
+		s.remove(e.idx)
+	}
+	if d < 0 {
+		d = 0
+	}
+	e.at, e.seq = s.now+d, s.seq
+	s.seq++
+	e.dead, e.fired = false, false
+	s.push(e)
+}
+
+// Stop disarms the timer. Stopping an unarmed timer is a no-op.
+func (t *Timer) Stop() { t.ev.Cancel() }
 
 // Ticker repeatedly invokes fn every interval until stopped.
 type Ticker struct {
-	sim      *Simulator
 	interval time.Duration
 	fn       func()
-	ev       *Event
+	timer    *Timer
 	stopped  bool
 }
 
@@ -296,25 +309,21 @@ func (s *Simulator) Every(interval time.Duration, fn func()) *Ticker {
 	if interval <= 0 {
 		panic(fmt.Sprintf("sim: non-positive ticker interval %v", interval))
 	}
-	t := &Ticker{sim: s, interval: interval, fn: fn}
-	t.arm()
+	t := &Ticker{interval: interval, fn: fn}
+	t.timer = s.NewTimer(t.tick)
+	t.timer.Reset(interval)
 	return t
 }
 
-func (t *Ticker) arm() {
-	t.ev = t.sim.Schedule(t.interval, func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			t.arm()
-		}
-	})
+func (t *Ticker) tick() {
+	t.fn()
+	if !t.stopped {
+		t.timer.Reset(t.interval)
+	}
 }
 
 // Stop cancels future firings.
 func (t *Ticker) Stop() {
 	t.stopped = true
-	t.ev.Cancel()
+	t.timer.Stop()
 }

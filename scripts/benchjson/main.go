@@ -6,7 +6,9 @@
 //	    go run ./scripts/benchjson -label fastpath -out BENCH_gateway.json
 //
 // Input lines are echoed to stdout so the tool can sit at the end of a
-// pipe without hiding the benchmark output.
+// pipe without hiding the benchmark output. Each recorded section also
+// gets a provenance entry: the core count and Go version of the machine
+// that recorded it, with the preamble's CPU model and packages.
 //
 // Results are keyed by the full benchmark name including the -N suffix go
 // test appends when GOMAXPROCS > 1, and each result records its CPU count
@@ -29,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -47,6 +50,9 @@ type result map[string]float64
 type doc struct {
 	Env      map[string]string            `json:"env,omitempty"`
 	Sections map[string]map[string]result `json:"sections"`
+	// Provenance records, per section, the machine and toolchain that
+	// produced it: core count, Go version, CPU model and packages.
+	Provenance map[string]map[string]string `json:"provenance,omitempty"`
 }
 
 func main() {
@@ -81,14 +87,24 @@ func main() {
 	}
 
 	section := map[string]result{}
+	prov := map[string]string{
+		"nproc": strconv.Itoa(runtime.NumCPU()),
+		"go":    runtime.Version(),
+	}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Println(line)
 		if env, val, ok := strings.Cut(line, ": "); ok && !strings.Contains(env, " ") {
-			// "goos: linux", "pkg: gq", "cpu: ..." preamble lines.
+			// "goos: linux", "pkg: gq", "cpu: ..." preamble lines. A run
+			// over several packages prints one pkg line for each.
+			if env == "pkg" {
+				prov[env] = strings.TrimPrefix(prov[env]+" "+val, " ")
+				continue
+			}
 			d.Env[env] = val
+			prov[env] = val
 			continue
 		}
 		if !strings.HasPrefix(line, "Benchmark") {
@@ -139,6 +155,10 @@ func main() {
 		os.Exit(compareSections(d.Sections[*compare], section, *compare, *maxAllocs, *maxRecovery, *maxSpecimens, *maxLockdown))
 	}
 	d.Sections[*label] = section
+	if d.Provenance == nil {
+		d.Provenance = map[string]map[string]string{}
+	}
+	d.Provenance[*label] = prov
 
 	enc, err := json.MarshalIndent(&d, "", "  ")
 	if err != nil {
