@@ -152,8 +152,11 @@ func TestFanoutChurnStalledClient(t *testing.T) {
 				for _, e := range evs {
 					line = j.RenderEvent(line[:0], e)
 				}
-				churnDropped.Add(sub.Dropped())
+				// Close first: the emitter may still evict from the ring
+				// until the subscription is detached, and a closed one
+				// drops nothing more.
 				sub.Close()
+				churnDropped.Add(sub.Dropped())
 			}
 		}()
 	}

@@ -284,7 +284,8 @@ func (j *Journal) SetOnDump(fn func(*Dump)) {
 // Scope returns the named scope, creating it with the given ring depth on
 // first use (DefaultRingSize if ring <= 0). Idempotent: later calls ignore
 // ring and return the existing scope. Scopes created this way emit on the
-// root stream; domain-local scopes come from Stream.Scope (via Obs.Scope).
+// root stream; domain-local scopes come from Stream.Scope (via Obs.Scope),
+// and a name bound to another stream panics as in Stream.Scope.
 func (j *Journal) Scope(name string, ring int) *Scope {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -292,17 +293,24 @@ func (j *Journal) Scope(name string, ring int) *Scope {
 }
 
 // Scope returns the named scope bound to this stream, creating it on first
-// use. Idempotent by name across the whole journal: a scope keeps the
-// stream it was first created on.
+// use. Idempotent per stream; scope names are unique across the whole
+// journal, so requesting a name another stream already owns panics.
 func (st *Stream) Scope(name string, ring int) *Scope {
 	st.j.mu.Lock()
 	defer st.j.mu.Unlock()
 	return st.j.scopeOn(st, name, ring)
 }
 
-// scopeOn creates or returns a scope; callers hold j.mu.
+// scopeOn creates or returns a scope; callers hold j.mu. A scope emits on
+// the stream it was created on, so a node may only emit on scopes bound to
+// its own domain's stream: handing an existing scope to a second stream
+// would let two domain goroutines race on one ring and one merge buffer,
+// so it panics at wiring time instead.
 func (j *Journal) scopeOn(st *Stream, name string, ring int) *Scope {
 	if sc, ok := j.scopes[name]; ok {
+		if sc.stream != st {
+			panic("obs: scope " + name + " requested on a second stream")
+		}
 		return sc
 	}
 	if ring <= 0 {

@@ -136,6 +136,28 @@ func TestScopeRingWrapAndDump(t *testing.T) {
 	}
 }
 
+// A scope name is bound to the stream that created it: the same stream
+// gets the same scope back, a second stream asking for it panics at
+// wiring time rather than racing on the first stream's ring at run time.
+func TestScopeOnSecondStreamPanics(t *testing.T) {
+	j := NewJournal(nil)
+	st := j.NewStream(nil)
+	sc := st.Scope("supervisor.tree", 0)
+	if st.Scope("supervisor.tree", 0) != sc {
+		t.Fatal("same stream returned a distinct scope")
+	}
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("scope requested on a second stream did not panic")
+		}
+		if msg, _ := r.(string); !strings.Contains(msg, "supervisor.tree") {
+			t.Fatalf("panic does not name the scope: %v", r)
+		}
+	}()
+	j.Scope("supervisor.tree", 0)
+}
+
 func TestDumpRetentionBounded(t *testing.T) {
 	j := NewJournal(nil)
 	sc := j.Scope("s", 2)
