@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"gq/internal/chaos"
@@ -28,6 +29,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 	for _, seed := range chaosSeeds {
 		first := runChaosOnce(t, seed, profile)
+		checkJournalPin(t, fmt.Sprintf("chaos/seed=%d", seed), first)
 		second := runChaosOnce(t, seed, profile)
 		if !bytes.Equal(first, second) {
 			t.Errorf("seed %d: journals differ between identical runs (%d vs %d bytes) — fault injection is not deterministic",

@@ -38,6 +38,7 @@ func TestRecycleSoak(t *testing.T) {
 			workers, out.Cycles, out.SpecimensPerDay, out.Captures, out.Reimages,
 			out.FaultsInjected, out.Retries, out.Quarantines, out.Lost, len(out.Journal))
 		if workers == 1 {
+			checkJournalPin(t, "recycle/seed=11", out.Journal)
 			refJournal, refSnap = out.Journal, out.Snapshot
 			continue
 		}
