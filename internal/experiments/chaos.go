@@ -82,11 +82,9 @@ type ChaosOutcome struct {
 	ActiveFlows            int
 	CrashEventsRecorded    int
 
-	// Supervisor is set on supervised runs, along with the per-endpoint
-	// health-transition history (part of the determinism surface: it must
-	// match exactly across worker counts for a given seed).
-	Supervisor    *supervisor.Supervisor
-	HealthHistory map[string][]string
+	// Supervisor is set on supervised runs; its health transitions are
+	// journalled under supervisor.<subfarm>.
+	Supervisor *supervisor.Supervisor
 
 	// Problems lists every violated invariant; empty means the farm
 	// degraded gracefully.
@@ -299,7 +297,6 @@ func RunChaosSoak(cfg ChaosConfig) (*ChaosOutcome, error) {
 	}
 
 	if out.Supervisor != nil {
-		out.HealthHistory = out.Supervisor.HealthHistory()
 		// The supervisor — not the injector, which skips its restores on
 		// supervised runs — must have brought every crashed server back.
 		for i := range sf.CSCluster {

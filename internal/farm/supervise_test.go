@@ -1,6 +1,8 @@
 package farm
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -28,6 +30,8 @@ func superviseFarm(t *testing.T) (*Farm, *Subfarm, *supervisor.Supervisor) {
 // not assumed.
 func TestSupervisorRestartsCrashedCS(t *testing.T) {
 	f, sf, sup := superviseFarm(t)
+	var journal bytes.Buffer
+	sink := f.Sim.Obs().Journal.AttachNDJSON(&journal)
 	f.Run(10 * time.Second)
 	if !sup.Healthy(0) {
 		t.Fatal("endpoint unhealthy before any fault")
@@ -47,9 +51,24 @@ func TestSupervisorRestartsCrashedCS(t *testing.T) {
 	if len(sup.Recoveries) != 1 {
 		t.Fatalf("recoveries = %v, want exactly one", sup.Recoveries)
 	}
-	hist := sup.HealthHistory()["cs0"]
-	if len(hist) < 3 {
-		t.Fatalf("health history too short: %v", hist)
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// The journal is the health history: down, restart, up, in order.
+	var got []string
+	for _, line := range bytes.Split(journal.Bytes(), []byte("\n")) {
+		if !bytes.Contains(line, []byte(`"scope":"supervisor.probe"`)) {
+			continue
+		}
+		for _, typ := range []string{supervisor.EvCSDown, supervisor.EvCSRestart, supervisor.EvCSUp} {
+			if bytes.Contains(line, []byte(`"type":"`+typ+`"`)) {
+				got = append(got, typ)
+			}
+		}
+	}
+	want := []string{supervisor.EvCSDown, supervisor.EvCSRestart, supervisor.EvCSUp}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("journalled cs0 transitions %v, want %v", got, want)
 	}
 }
 
@@ -100,5 +119,68 @@ func TestSupervisorInmateQuarantine(t *testing.T) {
 	snap := f.Sim.Obs().Snapshot()
 	if got := snap.Counter("supervisor.probe.inmate_quarantines"); got != 1 {
 		t.Fatalf("inmate_quarantines = %d, want exactly 1", got)
+	}
+}
+
+// A sink whose listeners cannot be reinstalled after a supervised restart
+// is quarantined — journalled and dumped — instead of panicking, and the
+// rest of the subfarm keeps running.
+func TestSupervisorSinkRebindFailureQuarantines(t *testing.T) {
+	f, sf := probeFarm(t, "DefaultDeny")
+	var journal bytes.Buffer
+	sink := f.Sim.Obs().Journal.AttachNDJSON(&journal)
+	sinks := sf.sinkEndpoints()
+	for i := range sinks {
+		if sinks[i].ID == "catchall" {
+			sinks[i].Rebind = func() error { return errors.New("address in use") }
+		}
+	}
+	sup := supervisor.New(supervisor.Deps{
+		Sim: sf.Sim, Router: sf.Router, Name: sf.Name,
+		Endpoints: []supervisor.Endpoint{{Srv: sf.CS, Host: sf.SvcHosts[csName(0)]}},
+		Sinks:     sinks, Prober: sf.proberHost(),
+	}, supervisor.Config{
+		HeartbeatEvery: 2 * time.Second, MissThreshold: 2, RestartBackoff: 2 * time.Second,
+	})
+	f.Run(10 * time.Second)
+	sf.SvcHosts["catchall"].Shutdown()
+	f.Run(time.Minute)
+	if sup.EndpointHealthy(supervisor.KindSink, "catchall") {
+		t.Fatal("catch-all with a failing rebind reads healthy")
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var quarantines, restarts int
+	for _, line := range bytes.Split(journal.Bytes(), []byte("\n")) {
+		if !bytes.Contains(line, []byte(`"detail":"sink:catchall"`)) {
+			continue
+		}
+		if bytes.Contains(line, []byte(`"type":"`+supervisor.EvEndpointQuarantine+`"`)) {
+			quarantines++
+		}
+		if bytes.Contains(line, []byte(`"type":"`+supervisor.EvEndpointRestart+`"`)) {
+			restarts++
+		}
+	}
+	if quarantines != 1 || restarts != 0 {
+		t.Fatalf("journal has %d quarantines and %d restarts of sink:catchall, want 1 and 0",
+			quarantines, restarts)
+	}
+	if got := f.Sim.Obs().Snapshot().Counter("supervisor.probe.sink_quarantines"); got != 1 {
+		t.Fatalf("sink_quarantines = %d, want 1", got)
+	}
+	var dumped bool
+	for _, d := range f.FlightDumps() {
+		dumped = dumped || d.Reason == "sink catchall quarantined: rebind failed: address in use"
+	}
+	if !dumped {
+		t.Fatal("no flight-recorder dump for the quarantined sink")
+	}
+	// The run continues: the quarantined sink is no longer probed or
+	// restarted, and the containment server stays supervised and healthy.
+	f.Run(time.Minute)
+	if !sup.Healthy(0) {
+		t.Fatal("containment server unhealthy after the sink quarantine")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"gq/internal/obs"
 	"gq/internal/sim"
+	"gq/internal/supervisor/ladder"
 )
 
 // opKind selects which lifecycle operation an admission runs.
@@ -33,7 +34,6 @@ type operation struct {
 
 	started time.Duration // admission time, for the reimage_ms histogram
 	attempt int
-	backoff time.Duration
 	slotted bool // holds one of the MaxConcurrent netboot slots
 
 	// gen invalidates stale stage callbacks: every stage start and every
@@ -98,6 +98,10 @@ func NewControllerWith(s *sim.Simulator, cfg Config) *Controller {
 
 // AddMachine registers a box with the controller and its power port.
 func (c *Controller) AddMachine(m *Machine) {
+	m.retry = ladder.Ladder{
+		Base: c.Cfg.RetryBackoff, Max: retryBackoffMax, Jitter: retryJitter,
+		Window: c.Cfg.BreakerWindow, Threshold: c.Cfg.BreakerThreshold,
+	}
 	c.byName[m.Name] = m
 	c.machines = append(c.machines, m)
 	m.sc = c.Sim.Obs().Scope(obs.EvRawIronPrefix+m.Name, obs.DefaultRingSize)
@@ -206,7 +210,7 @@ func (c *Controller) Readmit(m *Machine, image string, done func(error)) error {
 	if m.State != Quarantined {
 		return fmt.Errorf("rawiron: %s is not quarantined (state %v)", m.Name, m.State)
 	}
-	m.failures = m.failures[:0]
+	m.retry.ResetBreaker()
 	m.setState(PoweredOff)
 	m.sc.Emit(obs.Event{Type: EvReadmit, VLAN: m.VLAN})
 	return c.Reimage(m, image, done)
@@ -226,7 +230,7 @@ func (c *Controller) admit(op *operation) error {
 		return ErrBusy
 	}
 	m.op = op
-	op.backoff = c.Cfg.RetryBackoff
+	m.retry.ResetBackoff()
 	op.started = c.Sim.Now()
 	c.enqueue(op)
 	return nil
@@ -440,14 +444,8 @@ func (c *Controller) failAttempt(op *operation, why string) {
 	c.Seq.PowerOff(m.PowerPort)
 
 	now := c.Sim.Now()
-	kept := m.failures[:0]
-	for _, t := range m.failures {
-		if now-t <= c.Cfg.BreakerWindow {
-			kept = append(kept, t)
-		}
-	}
-	m.failures = append(kept, now)
-	if len(m.failures) >= c.Cfg.BreakerThreshold {
+	m.retry.Strike(now)
+	if m.retry.Tripped(now) {
 		c.quarantine(op, why)
 		return
 	}
@@ -456,13 +454,7 @@ func (c *Controller) failAttempt(op *operation, why string) {
 	c.Retries++
 	c.retriesC.Inc()
 	m.sc.Emit(obs.Event{Type: EvRetry, VLAN: m.VLAN, N: uint64(op.attempt), Detail: why})
-	delay := op.backoff
-	delay += time.Duration(c.Sim.Rand().Float64() * c.Cfg.RetryJitter * float64(delay))
-	op.backoff *= 2
-	if op.backoff > c.Cfg.RetryBackoffMax {
-		op.backoff = c.Cfg.RetryBackoffMax
-	}
-	c.Sim.Schedule(delay, func() {
+	c.Sim.Schedule(m.retry.Delay(c.Sim.Rand()), func() {
 		if m.op != op {
 			return
 		}
@@ -481,7 +473,7 @@ func (c *Controller) quarantine(op *operation, why string) {
 	c.quarantinedC.Inc()
 	m.sc.Emit(obs.Event{Type: EvQuarantine, VLAN: m.VLAN, N: uint64(op.attempt), Detail: why})
 	m.sc.Dump(fmt.Sprintf("machine %s quarantined by breaker after %d failures in window (last: %s, attempt %d)",
-		m.Name, len(m.failures), why, op.attempt))
+		m.Name, m.retry.Load(), why, op.attempt))
 	if op.done != nil {
 		op.done(ErrQuarantined)
 	}

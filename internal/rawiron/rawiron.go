@@ -26,6 +26,7 @@ import (
 	"gq/internal/host"
 	"gq/internal/obs"
 	"gq/internal/sim"
+	"gq/internal/supervisor/ladder"
 )
 
 // MachineState tracks where a box is in its boot/reimage cycle.
@@ -121,9 +122,9 @@ type Machine struct {
 	// Transitions logs state changes for tests.
 	Transitions []string
 
-	// failures holds the sim times of recent attempt failures, pruned to
-	// the breaker window (supervisor-style sliding history).
-	failures []time.Duration
+	// retry is the box's retry ladder: its backoff restarts with each
+	// admitted operation, and its breaker counts attempt failures.
+	retry ladder.Ladder
 	// op is the operation currently owning the box (nil when idle).
 	op *operation
 	// sc is the machine's journal scope, set at AddMachine.
@@ -140,7 +141,7 @@ func (m *Machine) Busy() bool { return m.op != nil }
 
 // BreakerLoad reports how many failures currently count against the
 // breaker (the pruned sliding-window history length).
-func (m *Machine) BreakerLoad() int { return len(m.failures) }
+func (m *Machine) BreakerLoad() int { return m.retry.Load() }
 
 // Config tunes the controller's timing, contention, retry, and breaker
 // behaviour. The zero value selects paper-calibrated defaults.
@@ -167,10 +168,9 @@ type Config struct {
 	RestoreDeadline  time.Duration // default 20m
 	BootDeadline     time.Duration // default 2m
 
-	// Retry policy: capped exponential backoff with sim-RNG jitter.
-	RetryBackoff    time.Duration // default 15s
-	RetryBackoffMax time.Duration // default 4m
-	RetryJitter     float64       // default 0.5
+	// Retry policy: capped exponential backoff (up to retryBackoffMax)
+	// with sim-RNG jitter (up to retryJitter of each delay).
+	RetryBackoff time.Duration // default 15s
 
 	// Circuit breaker: BreakerThreshold attempt failures within
 	// BreakerWindow quarantine the machine.
@@ -209,12 +209,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 15 * time.Second
 	}
-	if cfg.RetryBackoffMax <= 0 {
-		cfg.RetryBackoffMax = 4 * time.Minute
-	}
-	if cfg.RetryJitter <= 0 {
-		cfg.RetryJitter = 0.5
-	}
 	if cfg.BreakerWindow <= 0 {
 		cfg.BreakerWindow = time.Hour
 	}
@@ -223,6 +217,12 @@ func (cfg Config) withDefaults() Config {
 	}
 	return cfg
 }
+
+// Fixed retry tuning.
+const (
+	retryBackoffMax = 4 * time.Minute
+	retryJitter     = 0.5
+)
 
 // Faults are the deterministic fault-hook probabilities internal/chaos
 // installs: each is the per-opportunity chance (drawn from the sim RNG)

@@ -7,6 +7,7 @@ import (
 	"gq/internal/host"
 	"gq/internal/obs"
 	"gq/internal/sim"
+	"gq/internal/supervisor/ladder"
 )
 
 // Root is the farm-root node of the supervision tree. It runs on the
@@ -36,23 +37,16 @@ type Root struct {
 
 	subfarms []*subLink
 
-	// Controller restart ladder (same shape as the subfarm endpoint
-	// ladder, but fed by subfarm down/up reports instead of probes).
-	ctlDown        bool
-	ctlQuarantined bool
-	ctlDownAt      time.Duration
-	ctlBackoff     time.Duration
-	ctlRestartPend bool
-	ctlRestarts    []time.Duration
-	ctlHistory     []string
-	ctlGauge       *obs.Gauge
+	// ctl is the inmate controller as a root endpoint (nil without a
+	// ControllerHost): an ordinary restart ladder, fed by subfarm down/up
+	// reports instead of the root's own probes.
+	ctl *endpoint
 
 	watches []*progressWatch
 	hosts   []*hostWatch
 
 	global   bool
 	globalAt time.Duration
-	history  []string
 
 	restartsTotal *obs.Counter
 	quarantines   *obs.Counter
@@ -83,7 +77,7 @@ type subLink struct {
 // progressWatch tracks one progress-marked component (a recycler): its
 // mark must keep advancing while it is active, or the root declares it
 // wedged, journals it, and re-arms it — behind the same circuit breaker
-// as restarts.
+// as restarts (the ladder's strikes are re-arms; its backoff is unused).
 type progressWatch struct {
 	kind  Kind
 	id    string
@@ -95,7 +89,7 @@ type progressWatch struct {
 	lastChange  time.Duration
 	wedged      bool
 	quarantined bool
-	rearms      []time.Duration
+	rearms      ladder.Ladder
 	gauge       *obs.Gauge
 }
 
@@ -118,7 +112,6 @@ func NewRoot(deps RootDeps, cfg Config) *Root {
 	r := &Root{
 		cfg: cfg, deps: deps, s: s,
 		sc:          o.Scope(TreeScope, obs.DefaultRingSize),
-		ctlBackoff:  cfg.RestartBackoff,
 		watchCounts: make(map[string]int),
 	}
 	const pfx = "supervisor.root."
@@ -128,11 +121,15 @@ func NewRoot(deps RootDeps, cfg Config) *Root {
 	r.globalLocks = o.Reg.Counter(pfx + "global_lockdowns")
 	r.lockGauge = o.Reg.Gauge("supervisor.root" + LockdownGaugeSuffix)
 	if deps.ControllerHost != nil {
-		r.ctlGauge = o.Reg.Gauge(HealthGaugeName(KindController, "root", "controller"))
-		r.ctlGauge.Set(1)
+		r.ctl = &endpoint{
+			kind: KindController, id: "controller", host: deps.ControllerHost,
+			healthy: true, ladder: cfg.restartLadder(),
+			gauge: o.Reg.Gauge(HealthGaugeName(KindController, "root", "controller")),
+		}
+		r.ctl.gauge.Set(1)
 		r.watchCounts[string(KindController)]++
 	}
-	s.Every(cfg.ProgressEvery, r.poll)
+	s.Every(progressEvery, r.poll)
 	return r
 }
 
@@ -155,7 +152,7 @@ func (r *Root) Attach(sup *Supervisor) {
 func (r *Root) WatchProgress(kind Kind, id string, dom *sim.Simulator, read func() (int, bool), rearm func()) {
 	w := &progressWatch{
 		kind: kind, id: id, dom: dom, read: read, rearm: rearm,
-		lastMark: -1, lastChange: r.s.Now(),
+		lastMark: -1, lastChange: r.s.Now(), rearms: r.cfg.restartLadder(),
 		gauge: r.s.Obs().Reg.Gauge(HealthGaugeName(kind, "root", id)),
 	}
 	w.gauge.Set(1)
@@ -231,7 +228,6 @@ func (r *Root) noteProgress(w *progressWatch, mark int, active bool) {
 		if w.wedged {
 			w.wedged = false
 			w.gauge.Set(1)
-			r.history = append(r.history, string(w.kind)+":"+w.id+"_recovered@"+now.String())
 			r.sc.Emit(obs.Event{Type: EvEndpointUp, Detail: string(w.kind) + ":" + w.id})
 		}
 		return
@@ -241,26 +237,17 @@ func (r *Root) noteProgress(w *progressWatch, mark int, active bool) {
 	}
 	w.wedged = true
 	w.gauge.Set(0)
-	r.history = append(r.history, string(w.kind)+":"+w.id+"_wedged@"+now.String())
 	r.sc.Emit(obs.Event{Type: EvEndpointDown, Detail: string(w.kind) + ":" + w.id})
 	r.sc.Dump(fmt.Sprintf("%s %s wedged (no progress for %s)", w.kind, w.id, now-w.lastChange))
 	// Re-arm behind the breaker: a component that keeps wedging inside
 	// the window is quarantined rather than kicked forever.
-	kept := w.rearms[:0]
-	for _, t := range w.rearms {
-		if now-t <= r.cfg.BreakerWindow {
-			kept = append(kept, t)
-		}
-	}
-	w.rearms = kept
-	if len(w.rearms) >= r.cfg.BreakerThreshold {
+	if w.rearms.Tripped(now) {
 		w.quarantined = true
 		r.quarantines.Inc()
-		r.history = append(r.history, string(w.kind)+":"+w.id+"_quarantined@"+now.String())
 		r.sc.Emit(obs.Event{Type: EvEndpointQuarantine, Detail: string(w.kind) + ":" + w.id})
 		return
 	}
-	w.rearms = append(w.rearms, now)
+	w.rearms.Strike(now)
 	w.lastChange = now // grant a fresh budget after the kick
 	r.rearmsTotal.Inc()
 	r.sc.Emit(obs.Event{Type: EvEndpointRestart, Detail: string(w.kind) + ":" + w.id + " rearm"})
@@ -277,15 +264,12 @@ func (r *Root) noteAlive(w *hostWatch, alive bool) {
 		return
 	}
 	w.alive = alive
-	now := r.s.Now()
 	if alive {
 		w.gauge.Set(1)
-		r.history = append(r.history, string(w.kind)+":"+w.id+"_up@"+now.String())
 		r.sc.Emit(obs.Event{Type: EvEndpointUp, Detail: string(w.kind) + ":" + w.id})
 		return
 	}
 	w.gauge.Set(0)
-	r.history = append(r.history, string(w.kind)+":"+w.id+"_down@"+now.String())
 	r.sc.Emit(obs.Event{Type: EvEndpointDown, Detail: string(w.kind) + ":" + w.id})
 	r.sc.Dump(fmt.Sprintf("%s %s down", w.kind, w.id))
 }
@@ -295,28 +279,27 @@ func (r *Root) noteAlive(w *hostWatch, alive bool) {
 // repeats while a restart is pending or the breaker has tripped are
 // dedup'd. Runs on the root domain goroutine (callers post).
 func (r *Root) ReportControllerDown(from string) {
-	if r.ctlQuarantined {
+	ep := r.ctl
+	if ep == nil || ep.quarantined {
 		return
 	}
-	if !r.ctlDown {
-		r.ctlDown = true
-		r.ctlDownAt = r.s.Now()
-		r.ctlGauge.Set(0)
-		r.ctlHistory = append(r.ctlHistory, "down@"+r.s.Now().String())
-		r.history = append(r.history, "controller_down@"+r.s.Now().String()+" by "+from)
+	if ep.healthy {
+		ep.healthy = false
+		ep.downAt = r.s.Now()
+		ep.gauge.Set(0)
 		r.sc.Emit(obs.Event{Type: EvEndpointDown, Detail: "controller:controller by " + from})
 		r.sc.Dump("inmate controller down (reported by " + from + ")")
 		// Dead-man clock: a controller that stays dead past the budget —
 		// restarts failing or breaker tripped — means no lifecycle verbs,
 		// no quarantine actions, no recycle: fail the whole farm closed.
-		stamp := r.ctlDownAt
+		stamp := ep.downAt
 		r.s.Schedule(r.cfg.DeadManBudget, func() {
-			if r.ctlDown && r.ctlDownAt == stamp && !r.global {
+			if !ep.healthy && ep.downAt == stamp && !r.global {
 				r.GlobalLockdown("inmate controller dead past budget")
 			}
 		})
 	}
-	if !r.ctlRestartPend {
+	if !ep.restartPend {
 		r.scheduleCtlRestart()
 	}
 }
@@ -324,63 +307,46 @@ func (r *Root) ReportControllerDown(from string) {
 // ReportControllerUp is the matching recovery report, sent when a
 // subfarm's controller probe answers again.
 func (r *Root) ReportControllerUp(from string) {
-	if !r.ctlDown {
+	ep := r.ctl
+	if ep == nil || ep.healthy {
 		return
 	}
-	r.ctlDown = false
-	r.ctlBackoff = r.cfg.RestartBackoff
-	r.ctlGauge.Set(1)
-	r.ctlHistory = append(r.ctlHistory, "up@"+r.s.Now().String())
-	r.history = append(r.history, "controller_up@"+r.s.Now().String()+" by "+from)
+	ep.healthy = true
+	ep.ladder.ResetBackoff()
+	ep.gauge.Set(1)
 	r.sc.Emit(obs.Event{Type: EvEndpointUp, Detail: "controller:controller by " + from})
 }
 
-// scheduleCtlRestart arms the next controller restart: same capped
-// backoff, sim-RNG jitter and circuit breaker as subfarm endpoints.
+// scheduleCtlRestart arms the next controller restart on its ladder, or
+// quarantines the controller once the breaker has tripped.
 func (r *Root) scheduleCtlRestart() {
-	now := r.s.Now()
-	kept := r.ctlRestarts[:0]
-	for _, t := range r.ctlRestarts {
-		if now-t <= r.cfg.BreakerWindow {
-			kept = append(kept, t)
-		}
-	}
-	r.ctlRestarts = kept
-	if len(r.ctlRestarts) >= r.cfg.BreakerThreshold {
-		r.ctlQuarantined = true
+	ep := r.ctl
+	if !ep.climb(r.s, r.restartCtl) {
+		ep.quarantined = true
 		r.quarantines.Inc()
-		r.ctlHistory = append(r.ctlHistory, "quarantine@"+now.String())
-		r.history = append(r.history, "controller_quarantined@"+now.String())
 		r.sc.Emit(obs.Event{Type: EvEndpointQuarantine, Detail: "controller:controller"})
 		r.sc.Dump("inmate controller quarantined (restart breaker tripped); dead-man clock running")
+	}
+}
+
+// restartCtl fires one controller restart. Subfarm probes confirm
+// recovery; if none has within two probe cycles, the ladder climbs again.
+func (r *Root) restartCtl() {
+	ep := r.ctl
+	ep.restartPend = false
+	if ep.healthy || ep.quarantined {
 		return
 	}
-	delay := r.ctlBackoff
-	delay += time.Duration(r.s.Rand().Float64() * r.cfg.RestartJitter * float64(delay))
-	r.ctlBackoff *= 2
-	if r.ctlBackoff > r.cfg.RestartBackoffMax {
-		r.ctlBackoff = r.cfg.RestartBackoffMax
+	ep.ladder.Strike(r.s.Now())
+	r.restartsTotal.Inc()
+	r.sc.Emit(obs.Event{Type: EvEndpointRestart, Detail: "controller:controller"})
+	if r.deps.RestartController != nil {
+		r.deps.RestartController()
 	}
-	r.ctlRestartPend = true
-	r.s.Schedule(delay, func() {
-		r.ctlRestartPend = false
-		if !r.ctlDown || r.ctlQuarantined {
-			return
+	r.s.Schedule(2*r.cfg.HeartbeatEvery, func() {
+		if !ep.healthy && !ep.restartPend && !ep.quarantined {
+			r.scheduleCtlRestart()
 		}
-		r.ctlRestarts = append(r.ctlRestarts, r.s.Now())
-		r.restartsTotal.Inc()
-		r.ctlHistory = append(r.ctlHistory, "restart@"+r.s.Now().String())
-		r.sc.Emit(obs.Event{Type: EvEndpointRestart, Detail: "controller:controller"})
-		if r.deps.RestartController != nil {
-			r.deps.RestartController()
-		}
-		// Subfarm probes confirm recovery; if none has within two probe
-		// cycles, climb the ladder again.
-		r.s.Schedule(2*r.cfg.HeartbeatEvery, func() {
-			if r.ctlDown && !r.ctlRestartPend && !r.ctlQuarantined {
-				r.scheduleCtlRestart()
-			}
-		})
 	})
 }
 
@@ -398,7 +364,6 @@ func (r *Root) onSubfarmLockdown(name string) {
 		}
 		l.locked = true
 		l.lockedAt = r.s.Now()
-		r.history = append(r.history, "subfarm_lockdown@"+r.s.Now().String()+" "+name)
 		r.sc.Emit(obs.Event{Type: EvEscalate, Detail: "subfarm " + name + " locked down"})
 		stamp := l.lockedAt
 		r.s.Schedule(r.cfg.DeadManBudget, func() {
@@ -415,7 +380,6 @@ func (r *Root) onSubfarmRelease(name string) {
 	for _, l := range r.subfarms {
 		if l.name == name && l.locked {
 			l.locked = false
-			r.history = append(r.history, "subfarm_release@"+r.s.Now().String()+" "+name)
 			return
 		}
 	}
@@ -432,7 +396,6 @@ func (r *Root) GlobalLockdown(reason string) {
 	r.globalAt = r.s.Now()
 	r.lockGauge.Set(1)
 	r.globalLocks.Inc()
-	r.history = append(r.history, "global_lockdown@"+r.s.Now().String()+" "+reason)
 	r.sc.Emit(obs.Event{Type: EvGlobalLockdown, Detail: reason})
 	r.sc.Dump("GLOBAL DEAD-MAN LOCKDOWN: " + reason)
 	for _, l := range r.subfarms {
@@ -454,7 +417,6 @@ func (r *Root) Release(reason string) {
 	}
 	r.global = false
 	r.lockGauge.Set(0)
-	r.history = append(r.history, "global_release@"+r.s.Now().String()+" "+reason)
 	r.sc.Emit(obs.Event{Type: EvGlobalRelease, Detail: reason})
 	for _, l := range r.subfarms {
 		l := l
@@ -475,15 +437,6 @@ func (r *Root) GlobalLockdownAt() time.Duration { return r.globalAt }
 
 // ControllerHealthy reports the controller's current state as the tree
 // sees it.
-func (r *Root) ControllerHealthy() bool { return !r.ctlDown && !r.ctlQuarantined }
-
-// History returns the root's escalation history, identical across worker
-// counts for a (seed, profile) pair.
-func (r *Root) History() []string {
-	return append([]string(nil), r.history...)
-}
-
-// ControllerHistory returns the controller ladder's transition history.
-func (r *Root) ControllerHistory() []string {
-	return append([]string(nil), r.ctlHistory...)
+func (r *Root) ControllerHealthy() bool {
+	return r.ctl == nil || r.ctl.healthy && !r.ctl.quarantined
 }
