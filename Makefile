@@ -22,7 +22,7 @@ vet:
 race:
 	$(GO) test -race ./internal/gateway ./internal/netsim ./internal/sim \
 		./internal/obs ./internal/farm ./internal/host ./internal/hostnet \
-		./internal/ops ./internal/supervisor ./internal/rawiron
+		./internal/ops ./internal/supervisor/... ./internal/rawiron
 	$(GO) test -race -run TestShardDeterminism ./internal/experiments -count=1
 
 # Tier-1 verification recipe (see ROADMAP.md).
@@ -38,7 +38,7 @@ chaos:
 # Recovery soak: the supervised kill-storm (3-member containment cluster,
 # six round-robin CS kills) on two pinned seeds at 1 and 4 workers under
 # the race detector, plus the workers-1/2/4 determinism proof (byte-equal
-# journals, identical recovery intervals and health histories). Every kill
+# journals that hash to their pins, identical recovery intervals). Every kill
 # must be detected by missed heartbeats, failed over fail-closed, and
 # repaired within the recovery bound with zero probe escapes.
 soak:
@@ -61,8 +61,8 @@ recycle-soak:
 # unsurvivable one through subfarm fail-closed lockdown to global
 # dead-man lockdown, hold zero probe escapes before/during/after the
 # lockdown, and drain every flow table empty — with byte-identical
-# journals and DeepEqual escalation records at 1/2/4 workers on both the
-# single-internet and two-shard external topologies.
+# journals (the escalation record) that hash to their pins at 1/2/4
+# workers on both the single-internet and two-shard external topologies.
 fleet-soak:
 	$(GO) test -race -run TestFleetLockdownSoak ./internal/experiments -count=1 -v
 
