@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify bench bench-curve bench-gate bench-pins chaos soak recycle-soak fleet-soak serve-smoke
+.PHONY: build test vet fmt-check race verify bench bench-curve bench-gate bench-pins chaos soak recycle-soak fleet-soak serve-smoke
 
 build:
 	$(GO) build ./...
@@ -11,14 +11,20 @@ test:
 vet:
 	$(GO) vet ./...
 
+# Formatting gate: fails, listing the offenders, when any tracked Go file
+# is not gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
 # Data-race check over the packages the datapath fast path touches most,
 # plus the telemetry layer (concurrent Snapshot vs a running sim), plus the
 # blocking-bridge layers (host TCP, hostnet facade — alien goroutines vs
 # the event loop), plus the control planes whose goroutines cross the sim
 # boundary (ops driver/dead-man switch, supervision tree, raw-iron
 # lifecycle), plus the shard-determinism property (full chaos soak at
-# 1/2/4 workers — the run that actually exercises cross-domain
-# synchronization under load).
+# 1/2/4 workers through checkAcrossWorkers — the run that actually
+# exercises cross-domain synchronization under load).
 race:
 	$(GO) test -race ./internal/gateway ./internal/netsim ./internal/sim \
 		./internal/obs ./internal/farm ./internal/host ./internal/hostnet \
@@ -36,11 +42,11 @@ chaos:
 	$(GO) test -run TestChaosSoak ./internal/experiments -count=1 -v
 
 # Recovery soak: the supervised kill-storm (3-member containment cluster,
-# six round-robin CS kills) on two pinned seeds at 1 and 4 workers under
-# the race detector, plus the workers-1/2/4 determinism proof (byte-equal
-# journals that hash to their pins, identical recovery intervals). Every kill
-# must be detected by missed heartbeats, failed over fail-closed, and
-# repaired within the recovery bound with zero probe escapes.
+# six round-robin CS kills) on two pinned seeds under the race detector,
+# each through checkAcrossWorkers (workers 1/2/4: byte-equal journals that
+# hash to their pins, identical recovery intervals). Every kill must be
+# detected by missed heartbeats, failed over fail-closed, and repaired
+# within the recovery bound with zero probe escapes.
 soak:
 	$(GO) test -race -run 'TestRecoverySoak' ./internal/experiments -count=1 -v
 
@@ -49,8 +55,8 @@ soak:
 # netboots, stalled/corrupted transfers, stuck power ports) at 1/2/4
 # workers. Every injected fault must end in a retry or a breaker
 # quarantine — no wedged machines — the cycle floors must hold, flow
-# tables must drain, no probe traffic may escape, and the journals must
-# be byte-identical across worker counts.
+# tables must drain, no probe traffic may escape, and checkAcrossWorkers
+# requires byte-identical journals across worker counts.
 recycle-soak:
 	$(GO) test -run TestRecycleSoak ./internal/experiments -count=1 -v
 
@@ -62,7 +68,8 @@ recycle-soak:
 # dead-man lockdown, hold zero probe escapes before/during/after the
 # lockdown, and drain every flow table empty — with byte-identical
 # journals (the escalation record) that hash to their pins at 1/2/4
-# workers on both the single-internet and two-shard external topologies.
+# workers (checkAcrossWorkers) on both the single-internet and two-shard
+# external topologies.
 fleet-soak:
 	$(GO) test -race -run TestFleetLockdownSoak ./internal/experiments -count=1 -v
 

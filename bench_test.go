@@ -226,7 +226,7 @@ func benchShardedDense(b *testing.B, mode string) {
 		case "serial":
 			f = farm.New(int64(i))
 		case "sharded":
-			f = farm.NewSharded(int64(i), 0)
+			f = farm.NewShardedN(int64(i), 0, 1)
 		case "external":
 			f = farm.NewShardedN(int64(i), 0, 3)
 		}

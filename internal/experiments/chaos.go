@@ -3,12 +3,10 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"time"
 
 	"gq/internal/chaos"
 	"gq/internal/farm"
-	"gq/internal/malware"
 	"gq/internal/netstack"
 	"gq/internal/obs"
 	"gq/internal/policy"
@@ -18,15 +16,15 @@ import (
 	"gq/internal/trace"
 )
 
+// chaosWindow is the chaos soak's fault window. A containment probe
+// (2 min) and the drain window run after it.
+const chaosWindow = 20 * time.Minute
+
 // ChaosConfig parameterises the chaos soak: the Botfarm demo run under an
 // injected fault profile.
 type ChaosConfig struct {
 	Seed    int64
 	Profile chaos.Profile
-	// Duration is the fault window (default 20 virtual minutes). A
-	// containment probe (2 min) and a drain window long enough for every
-	// sweep timeout to elapse run after it.
-	Duration time.Duration
 
 	// Sharded builds the farm with per-subfarm simulation domains driven by
 	// Workers goroutines (0 = GOMAXPROCS). A sharded run's journal is
@@ -98,36 +96,11 @@ type ChaosOutcome struct {
 // match the registry exactly, and the chaos flight recorder captured every
 // injected containment-server crash.
 func RunChaosSoak(cfg ChaosConfig) (*ChaosOutcome, error) {
-	if cfg.Duration == 0 {
-		cfg.Duration = 20 * time.Minute
-	}
-	var f *farm.Farm
-	if cfg.Sharded {
-		f = farm.NewSharded(cfg.Seed, cfg.Workers)
-	} else {
-		f = farm.New(cfg.Seed)
-	}
-
-	// Attach the journal sink before any traffic so the stream covers the
-	// whole run (the determinism comparison needs every event).
-	var journal bytes.Buffer
-	sink := f.Sim.Obs().Journal.AttachNDJSON(&journal)
-	if cfg.WrapSink != nil {
-		f.Sim.Obs().Journal.SetSink(cfg.WrapSink(sink))
-	}
-
-	ccAddr := netstack.MustParseAddr("50.8.207.91")
-	ccHost := f.AddExternalHost("steephost", ccAddr)
-	if _, err := malware.NewCCServer(ccHost, malware.CCConfig{
-		Template: "pharma special",
-		Targets: []netstack.Addr{
-			netstack.MustParseAddr("203.0.113.25"),
-			netstack.MustParseAddr("203.0.113.26"),
-		},
-		Forbidden: []string{"DDOS 203.0.113.99"},
-	}); err != nil {
+	s, err := newSoak(cfg.Seed, cfg.Sharded, cfg.Workers, 1, cfg.WrapSink)
+	if err != nil {
 		return nil, err
 	}
+	f := s.f
 
 	policyText := "[VLAN 16-17]\n" +
 		"Decider = Rustock\nInfection = rustock.100921.*.exe\n\n" +
@@ -149,8 +122,8 @@ func RunChaosSoak(cfg ChaosConfig) (*ChaosOutcome, error) {
 		},
 		RepeatBatches: true,
 		CCHosts: map[string]policy.AddrPort{
-			"Rustock": {Addr: ccAddr, Port: 443},
-			"Grum":    {Addr: ccAddr, Port: 80},
+			"Rustock": {Addr: s.cc, Port: 443},
+			"Grum":    {Addr: s.cc, Port: 80},
 		},
 		SinkDropProb:       0.2,
 		SinkStrictness:     smtpx.Lenient,
@@ -194,7 +167,7 @@ func RunChaosSoak(cfg ChaosConfig) (*ChaosOutcome, error) {
 
 	out.Injector = chaos.Apply(sf, cfg.Profile)
 
-	f.Run(cfg.Duration)
+	f.Run(chaosWindow)
 
 	// Containment probe while impairment is still active: the probe inmate
 	// joins after Apply, so its own link is clean, but containment itself
@@ -206,45 +179,22 @@ func RunChaosSoak(cfg ChaosConfig) (*ChaosOutcome, error) {
 	out.Probe = probe
 
 	// Wind down: stop the specimens, end injection (restoring any fault
-	// still in flight), and drain past every sweep horizon so a healthy
-	// farm ends with an empty flow table. Terminate in VLAN order — map
-	// iteration order would leak into the journal and break the
-	// determinism guarantee.
-	vlans := make([]int, 0, len(sf.Inmates))
-	for vlan := range sf.Inmates {
-		vlans = append(vlans, int(vlan))
-	}
-	sort.Ints(vlans)
-	for _, vlan := range vlans {
-		sf.Inmates[uint16(vlan)].Terminate()
-	}
+	// still in flight), and drain.
+	s.terminate()
 	out.Injector.Stop()
-	f.Run(12 * time.Minute)
-
+	if out.Journal, err = s.drain(); err != nil {
+		return nil, err
+	}
 	if err := tw.Flush(); err != nil {
 		return nil, err
 	}
 	if traceErr != nil {
 		return nil, traceErr
 	}
-	if err := sink.Flush(); err != nil {
-		return nil, err
-	}
-	out.Journal = append([]byte(nil), journal.Bytes()...)
 
 	// --- Invariant checks ---
-	bad := func(format string, args ...any) {
-		out.Problems = append(out.Problems, fmt.Sprintf(format, args...))
-	}
-
-	out.ActiveFlows = sf.Router.ActiveFlows()
-	if out.ActiveFlows != 0 {
-		bad("flow table leaked: %d entries after drain", out.ActiveFlows)
-	}
-
-	if escaped := probe.Escaped(); len(escaped) > 0 {
-		bad("containment probe escaped: %v", escaped)
-	}
+	out.ActiveFlows = s.checkDrained(sf)
+	s.checkProbe(sf.Name, probe)
 
 	recs, err := trace.Read(bytes.NewReader(pcap.Bytes()))
 	if err != nil {
@@ -261,28 +211,28 @@ func RunChaosSoak(cfg ChaosConfig) (*ChaosOutcome, error) {
 	out.Verdicts = snap.Counter("subfarm.Botfarm.verdicts_applied")
 	out.FlowsFailClosed = snap.Counter("subfarm.Botfarm.flows_failclosed")
 	if out.FlowsCreated == 0 {
-		bad("no flows created — chaos run produced no traffic")
+		s.bad("no flows created — chaos run produced no traffic")
 	}
 	if out.FacadeEcho.Rounds == 0 {
-		bad("facade echo pair completed no round trips (%d errors) — the blocking "+
+		s.bad("facade echo pair completed no round trips (%d errors) — the blocking "+
 			"bridge wedged under chaos", out.FacadeEcho.Errors)
 	}
 	if audit.FlowsCreated != out.FlowsCreated {
-		bad("telemetry drift: trace derives %d flows, registry counted %d",
+		s.bad("telemetry drift: trace derives %d flows, registry counted %d",
 			audit.FlowsCreated, out.FlowsCreated)
 	}
 	if audit.Verdicts != out.Verdicts {
-		bad("telemetry drift: trace derives %d verdicts, registry counted %d",
+		s.bad("telemetry drift: trace derives %d verdicts, registry counted %d",
 			audit.Verdicts, out.Verdicts)
 	}
 	if problems := f.Reporter(false).CrossCheck(); len(problems) != 0 {
-		bad("reporter cross-check: %v", problems)
+		s.bad("reporter cross-check: %v", problems)
 	}
 
 	// The chaos scope's flight recorder must have captured every injected
 	// CS crash (and the profile must actually have fired them all).
 	if want := len(cfg.Profile.CSCrashAt); out.Injector.Crashes != want {
-		bad("injected %d CS crashes, profile scheduled %d", out.Injector.Crashes, want)
+		s.bad("injected %d CS crashes, profile scheduled %d", out.Injector.Crashes, want)
 	}
 	if d := f.Sim.Obs().Journal.DumpScope(chaos.ScopeFor(sf.Name), "chaos soak post-run"); d != nil {
 		for _, e := range d.Events {
@@ -292,7 +242,7 @@ func RunChaosSoak(cfg ChaosConfig) (*ChaosOutcome, error) {
 		}
 	}
 	if out.CrashEventsRecorded != out.Injector.Crashes {
-		bad("flight recorder captured %d of %d CS crashes",
+		s.bad("flight recorder captured %d of %d CS crashes",
 			out.CrashEventsRecorded, out.Injector.Crashes)
 	}
 
@@ -301,16 +251,17 @@ func RunChaosSoak(cfg ChaosConfig) (*ChaosOutcome, error) {
 		// supervised runs — must have brought every crashed server back.
 		for i := range sf.CSCluster {
 			if out.Supervisor.Quarantined(i) {
-				bad("cs%d quarantined by circuit breaker — kill schedule within the "+
+				s.bad("cs%d quarantined by circuit breaker — kill schedule within the "+
 					"breaker budget must not trip it", i)
 			} else if !out.Supervisor.Healthy(i) {
-				bad("cs%d still unhealthy after drain — supervised restart failed", i)
+				s.bad("cs%d still unhealthy after drain — supervised restart failed", i)
 			}
 		}
 		if got, want := len(out.Supervisor.Recoveries), out.Injector.Crashes; got != want {
-			bad("supervisor recovered %d of %d CS crashes", got, want)
+			s.bad("supervisor recovered %d of %d CS crashes", got, want)
 		}
 	}
 
+	out.Problems = s.problems
 	return out, nil
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"gq/internal/farm"
-	"gq/internal/malware"
 	"gq/internal/netstack"
 	"gq/internal/policy"
 	"gq/internal/shim"
@@ -48,16 +47,8 @@ func RunFigure7(cfg Figure7Config) (*Figure7Outcome, error) {
 		cfg.GrumInmates = 1
 	}
 	f := farm.New(cfg.Seed)
-	ccAddr := netstack.MustParseAddr("50.8.207.91") // 50.8.207.91.SteepHost.Net
-	ccHost := f.AddExternalHost("steephost", ccAddr)
-	if _, err := malware.NewCCServer(ccHost, malware.CCConfig{
-		Template: "pharma special",
-		Targets: []netstack.Addr{
-			netstack.MustParseAddr("203.0.113.25"),
-			netstack.MustParseAddr("203.0.113.26"),
-		},
-		Forbidden: []string{"DDOS 203.0.113.99"},
-	}); err != nil {
+	ccAddr, err := steephost(f)
+	if err != nil {
 		return nil, err
 	}
 

@@ -3,18 +3,14 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
 	"gq/internal/chaos"
 	"gq/internal/farm"
-	"gq/internal/malware"
 	"gq/internal/netstack"
 	"gq/internal/obs"
-	"gq/internal/policy"
 	"gq/internal/rawiron"
-	"gq/internal/smtpx"
 	"gq/internal/supervisor"
 )
 
@@ -27,12 +23,6 @@ import (
 type FleetConfig struct {
 	Seed int64
 
-	// Duration is the fault window (default 12 virtual minutes — long
-	// enough for the alpha kill storm to quarantine all three of its
-	// containment servers, the subfarm to fail closed, and the root's
-	// dead-man budget to expire into global lockdown).
-	Duration time.Duration
-
 	// Sharded builds the farm with per-subfarm simulation domains driven
 	// by Workers goroutines (0 = GOMAXPROCS); ExtShards > 1 additionally
 	// spreads the external hosts over that many internet shards
@@ -43,12 +33,10 @@ type FleetConfig struct {
 	ExtShards int
 }
 
-func (cfg FleetConfig) withDefaults() FleetConfig {
-	if cfg.Duration == 0 {
-		cfg.Duration = 12 * time.Minute
-	}
-	return cfg
-}
+// fleetWindow is the fault window: long enough for the alpha kill storm
+// to quarantine all three of its containment servers, the subfarm to fail
+// closed, and the root's dead-man budget to expire into global lockdown.
+const fleetWindow = 12 * time.Minute
 
 // fleetSupervision is the tree tuning the soak runs under: default
 // heartbeat cadence, a two-restart circuit breaker (the third kill of any
@@ -135,36 +123,14 @@ type fleetSubfarm struct {
 // empty. The journal is the determinism surface: byte-identical at any
 // worker count.
 func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
-	cfg = cfg.withDefaults()
-	var f *farm.Farm
-	switch {
-	case cfg.Sharded && cfg.ExtShards > 1:
-		f = farm.NewShardedN(cfg.Seed, cfg.Workers, cfg.ExtShards)
-	case cfg.Sharded:
-		f = farm.NewSharded(cfg.Seed, cfg.Workers)
-	default:
-		f = farm.New(cfg.Seed)
+	s, err := newSoak(cfg.Seed, cfg.Sharded, cfg.Workers, cfg.ExtShards, nil)
+	if err != nil {
+		return nil, err
 	}
+	f := s.f
 	out := &FleetOutcome{
 		Farm:   f,
 		Probes: make(map[string][]*farm.ProbeOutcome),
-	}
-
-	// Journal first, so the determinism comparison covers the whole run.
-	var journal bytes.Buffer
-	sink := f.Sim.Obs().Journal.AttachNDJSON(&journal)
-
-	ccAddr := netstack.MustParseAddr("50.8.207.91")
-	ccHost := f.AddExternalHost("steephost", ccAddr)
-	if _, err := malware.NewCCServer(ccHost, malware.CCConfig{
-		Template: "pharma special",
-		Targets: []netstack.Addr{
-			netstack.MustParseAddr("203.0.113.25"),
-			netstack.MustParseAddr("203.0.113.26"),
-		},
-		Forbidden: []string{"DDOS 203.0.113.99"},
-	}); err != nil {
-		return nil, err
 	}
 
 	plan := []fleetSubfarm{
@@ -175,29 +141,7 @@ func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 
 	var gammaRec *farm.Recycler
 	for i, p := range plan {
-		inmates := p.bots + p.iron
-		policyText := fmt.Sprintf("[VLAN %d-%d]\n", p.vlanLo, p.vlanLo+uint16(inmates)-1) +
-			"Decider = Rustock\nInfection = rustock.100921.*.exe\n"
-		sf, err := f.AddSubfarm(farm.SubfarmConfig{
-			Name:   p.name,
-			VLANLo: p.vlanLo,
-			// Headroom above the inmates for one probe inmate per phase.
-			VLANHi:       p.vlanLo + uint16(inmates) + 3,
-			ServiceVLAN:  p.vlanLo - 5,
-			GlobalPool:   netstack.MustParsePrefix(fmt.Sprintf("192.0.%d.0/24", 2+i)),
-			InfraPool:    netstack.MustParsePrefix(fmt.Sprintf("192.0.%d.0/24", 32+i)),
-			PolicyConfig: policyText,
-			SampleLibrary: []*policy.Sample{
-				policy.NewSample("rustock.100921.001.exe", "rustock", []byte("MZ-rustock-1")),
-			},
-			RepeatBatches: true,
-			CCHosts: map[string]policy.AddrPort{
-				"Rustock": {Addr: ccAddr, Port: 443},
-			},
-			SinkDropProb:       0.2,
-			SinkStrictness:     smtpx.Lenient,
-			ContainmentServers: p.servers,
-		})
+		sf, err := s.addRustockSubfarm(p.name, i, p.vlanLo, p.bots+p.iron, p.servers)
 		if err != nil {
 			return nil, err
 		}
@@ -249,7 +193,7 @@ func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 		}
 		out.Injectors = append(out.Injectors, chaos.Apply(out.Subfarms[i], prof))
 	}
-	f.Run(cfg.Duration)
+	f.Run(fleetWindow)
 
 	lockedAfterMain := out.Tree.GlobalLockedDown()
 
@@ -275,58 +219,38 @@ func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 		return nil, err
 	}
 
-	// Wind down: stop the rotation and the specimens (VLAN order — map
-	// order would leak into the journal), end injection, drain past every
-	// sweep horizon.
+	// Wind down: stop the rotation and the specimens, end injection,
+	// drain.
 	if gammaRec != nil {
 		gammaRec.Stop()
 	}
-	for _, sf := range out.Subfarms {
-		vlans := make([]int, 0, len(sf.Inmates))
-		for vlan := range sf.Inmates {
-			vlans = append(vlans, int(vlan))
-		}
-		sort.Ints(vlans)
-		for _, vlan := range vlans {
-			sf.Inmates[uint16(vlan)].Terminate()
-		}
-	}
+	s.terminate()
 	for _, inj := range out.Injectors {
 		inj.Stop()
 	}
-	f.Run(12 * time.Minute)
-
-	if err := sink.Flush(); err != nil {
+	if out.Journal, err = s.drain(); err != nil {
 		return nil, err
 	}
-	out.Journal = append([]byte(nil), journal.Bytes()...)
 	out.GlobalLockdownAt = out.Tree.GlobalLockdownAt()
 
 	// --- Invariant checks ---
-	bad := func(format string, args ...any) {
-		out.Problems = append(out.Problems, fmt.Sprintf(format, args...))
-	}
-
 	// Containment held at every phase: not one probe escaped.
 	for _, phase := range []string{"before", "during", "after"} {
 		for i, probe := range out.Probes[phase] {
-			if escaped := probe.Escaped(); len(escaped) > 0 {
-				bad("%s containment probe (%s) escaped: %v",
-					out.Subfarms[i].Name, phase, escaped)
-			}
+			s.checkProbe(out.Subfarms[i].Name+"/"+phase, probe)
 		}
 	}
 
 	// The ladder reached the top inside the fault window, and the
 	// operator release did not stick: alpha's dead plane re-escalated.
 	if !lockedAfterMain {
-		bad("fault window ended without global dead-man lockdown")
+		s.bad("fault window ended without global dead-man lockdown")
 	}
 	if !out.Tree.GlobalLockedDown() {
-		bad("release with a still-dead containment plane did not re-escalate to global lockdown")
+		s.bad("release with a still-dead containment plane did not re-escalate to global lockdown")
 	}
 	if out.GlobalLockdownAt == 0 {
-		bad("GlobalLockdownAt is zero despite lockdown")
+		s.bad("GlobalLockdownAt is zero despite lockdown")
 	}
 
 	alpha, beta, gamma := out.Subfarms[0], out.Subfarms[1], out.Subfarms[2]
@@ -334,17 +258,17 @@ func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 	// fail-closed lockdown, and the gateway actually dropped traffic.
 	for i := range alpha.CSCluster {
 		if !alpha.Supervisor.Quarantined(i) {
-			bad("alpha cs%d survived a three-kill schedule that must trip the breaker", i)
+			s.bad("alpha cs%d survived a three-kill schedule that must trip the breaker", i)
 		}
 	}
 	if !alpha.Supervisor.LockedDown() {
-		bad("alpha's dead containment plane did not end in subfarm lockdown")
+		s.bad("alpha's dead containment plane did not end in subfarm lockdown")
 	}
 	snap := f.Sim.Obs().Snapshot()
 	out.Snapshot = snap
 	out.LockdownDrops = snap.Counter("subfarm.Alpha.lockdown_drops")
 	if out.LockdownDrops == 0 {
-		bad("alpha gateway in lockdown dropped no packets — fail-closed never bit")
+		s.bad("alpha gateway in lockdown dropped no packets — fail-closed never bit")
 	}
 
 	// Beta and gamma: every fault was survivable and the tree recovered
@@ -352,48 +276,48 @@ func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 	for _, sf := range []*farm.Subfarm{beta, gamma} {
 		for i := range sf.CSCluster {
 			if sf.Supervisor.Quarantined(i) {
-				bad("%s cs%d quarantined — two kills within the window must stay under the breaker", sf.Name, i)
+				s.bad("%s cs%d quarantined — two kills within the window must stay under the breaker", sf.Name, i)
 			} else if !sf.Supervisor.Healthy(i) {
-				bad("%s cs%d still unhealthy after drain — supervised restart failed", sf.Name, i)
+				s.bad("%s cs%d still unhealthy after drain — supervised restart failed", sf.Name, i)
 			}
 		}
 		// The node is in lockdown at the end — but only because the global
 		// dead-man fan-out closed it. It must never have escalated on its
 		// own: no containment-dead escalation on its scope.
 		if journalHas(out.Journal, `"`+supervisor.EvEscalate+`"`, `"scope":"supervisor.`+sf.Name+`"`) {
-			bad("%s escalated on its own — its faults were all survivable", sf.Name)
+			s.bad("%s escalated on its own — its faults were all survivable", sf.Name)
 		}
 		if !sf.Supervisor.EndpointHealthy(supervisor.KindSink, "smtpsink") {
-			bad("%s smtpsink still down — supervised sink restart failed", sf.Name)
+			s.bad("%s smtpsink still down — supervised sink restart failed", sf.Name)
 		}
 	}
 
 	// The controller hang was detected by the subfarm PING probes and
 	// cleared by the root's restart ladder.
 	if !out.Tree.ControllerHealthy() {
-		bad("controller still unhealthy — the root restart ladder failed to clear the hang")
+		s.bad("controller still unhealthy — the root restart ladder failed to clear the hang")
 	}
 	if !journalHas(out.Journal, `"`+supervisor.EvEndpointDown+`"`,
 		`"scope":"`+supervisor.TreeScope+`"`, `"detail":"controller:controller by `) {
-		bad("root journalled no controller down-report — the hang was never detected")
+		s.bad("root journalled no controller down-report — the hang was never detected")
 	}
 	if got := snap.Counter("supervisor.root.restarts"); got == 0 {
-		bad("root restarted the controller 0 times — the hang was never repaired")
+		s.bad("root restarted the controller 0 times — the hang was never repaired")
 	}
 
 	// The recycler wedge was detected by the progress watch and re-armed;
 	// the rotation kept cycling afterwards.
 	out.Rearms = snap.Counter("supervisor.root.rearms")
 	if out.Rearms == 0 {
-		bad("recycler wedge never re-armed — the root progress watch missed it")
+		s.bad("recycler wedge never re-armed — the root progress watch missed it")
 	}
 	if gammaRec != nil {
 		out.Cycles = gammaRec.Cycles
 		if out.Cycles < 2 {
-			bad("gamma completed %d recycling cycles, want >= 2 — the rotation did not survive the wedge", out.Cycles)
+			s.bad("gamma completed %d recycling cycles, want >= 2 — the rotation did not survive the wedge", out.Cycles)
 		}
 		if gammaRec.Lost != 0 {
-			bad("gamma lost %d rotation members — the wedge must be survivable", gammaRec.Lost)
+			s.bad("gamma lost %d rotation members — the wedge must be survivable", gammaRec.Lost)
 		}
 	}
 
@@ -401,34 +325,33 @@ func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 	// only breaks the sink; the restart must be journalled by the
 	// supervisor, never by chaos.
 	if !journalHas(out.Journal, `"`+supervisor.EvEndpointRestart+`"`, "sink:smtpsink") {
-		bad("journal has no supervisor restart for sink:smtpsink — supervised sink recovery missing")
+		s.bad("journal has no supervisor restart for sink:smtpsink — supervised sink recovery missing")
 	}
 	if !journalHas(out.Journal, `"`+chaos.EvSinkCrash+`"`) {
-		bad("journal has no chaos sink_crash — the fault never fired")
+		s.bad("journal has no chaos sink_crash — the fault never fired")
 	}
 	for _, forbidden := range []string{
 		chaos.EvSinkRestore, chaos.EvCSRestart, chaos.EvCtlRestore, chaos.EvRecRearm,
 	} {
 		if journalHas(out.Journal, `"`+forbidden+`"`) {
-			bad("journal has %s — chaos restored a fault the supervision tree owns", forbidden)
+			s.bad("journal has %s — chaos restored a fault the supervision tree owns", forbidden)
 		}
 	}
 
 	// Every flow table drained empty, lockdown or not.
 	for _, sf := range out.Subfarms {
-		if n := sf.Router.ActiveFlows(); n != 0 {
-			bad("%s flow table leaked: %d entries after drain", sf.Name, n)
-		}
+		s.checkDrained(sf)
 	}
 	// And every injected CS crash actually fired.
 	for i, inj := range out.Injectors {
 		prof, _ := chaos.Parse(plan[i].profile)
 		if inj.Crashes != len(prof.CSCrashAt) {
-			bad("%s injected %d CS crashes, profile scheduled %d",
+			s.bad("%s injected %d CS crashes, profile scheduled %d",
 				plan[i].name, inj.Crashes, len(prof.CSCrashAt))
 		}
 	}
 
+	out.Problems = s.problems
 	return out, nil
 }
 

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
-	"reflect"
 	"testing"
 )
 
@@ -21,14 +19,11 @@ import (
 // thread runs a domain's window; it must never leak into escalation
 // order.
 func TestFleetLockdownSoak(t *testing.T) {
-	const seed = 11
-
 	for _, extShards := range []int{1, 2} {
-		var refJournal []byte
-		var refSnap any
-		for _, workers := range []int{1, 2, 4} {
+		pin := fmt.Sprintf("fleet/sharded/extShards=%d", extShards)
+		checkAcrossWorkers(t, pin, func(workers int) ([]byte, any) {
 			out, err := RunFleetSoak(FleetConfig{
-				Seed: seed, Sharded: true, Workers: workers, ExtShards: extShards,
+				Seed: 11, Sharded: true, Workers: workers, ExtShards: extShards,
 			})
 			if err != nil {
 				t.Fatalf("extShards=%d workers=%d: %v", extShards, workers, err)
@@ -39,20 +34,8 @@ func TestFleetLockdownSoak(t *testing.T) {
 			t.Logf("extShards=%d workers=%d: globalAt=%v drops=%d rearms=%d cycles=%d journal=%dB",
 				extShards, workers, out.GlobalLockdownAt, out.LockdownDrops,
 				out.Rearms, out.Cycles, len(out.Journal))
-			if workers == 1 {
-				checkJournalPin(t, fmt.Sprintf("fleet/sharded/extShards=%d", extShards), out.Journal)
-				refJournal, refSnap = out.Journal, out.Snapshot
-				continue
-			}
-			if !bytes.Equal(refJournal, out.Journal) {
-				t.Errorf("extShards=%d workers=%d: journal differs from workers=1 (%d vs %d bytes) — escalation is not deterministic",
-					extShards, workers, len(out.Journal), len(refJournal))
-			}
-			if !reflect.DeepEqual(refSnap, out.Snapshot) {
-				t.Errorf("extShards=%d workers=%d: metrics snapshot differs from workers=1",
-					extShards, workers)
-			}
-		}
+			return out.Journal, out.Snapshot
+		})
 	}
 }
 

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"reflect"
 	"testing"
 )
 
@@ -34,5 +36,32 @@ func checkJournalPin(t *testing.T, name string, journal []byte) {
 	sum := sha256.Sum256(journal)
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("%s: journal digest %s, pinned %s", name, got, want)
+	}
+}
+
+// checkAcrossWorkers is the sharded soaks' determinism proof. It calls run
+// at 1, 2 and 4 workers; the workers=1 journal must hash to the digest
+// pinned under pin, and every later run must reproduce that journal byte
+// for byte and return a same value (a metrics snapshot, recovery
+// intervals) that DeepEquals the workers=1 one. Worker count only decides
+// which OS thread runs a domain's window; it must never leak into results.
+func checkAcrossWorkers(t *testing.T, pin string, run func(workers int) (journal []byte, same any)) {
+	t.Helper()
+	var refJournal []byte
+	var refSame any
+	for _, workers := range []int{1, 2, 4} {
+		journal, same := run(workers)
+		if workers == 1 {
+			checkJournalPin(t, pin, journal)
+			refJournal, refSame = journal, same
+			continue
+		}
+		if !bytes.Equal(refJournal, journal) {
+			t.Errorf("%s workers=%d: journal differs from workers=1 (%d vs %d bytes)",
+				pin, workers, len(journal), len(refJournal))
+		}
+		if !reflect.DeepEqual(refSame, same) {
+			t.Errorf("%s workers=%d: %T differs from workers=1", pin, workers, same)
+		}
 	}
 }

@@ -6,22 +6,22 @@ import (
 	"gq/internal/chaos"
 )
 
+// maxRecovery bounds each crash's down→healthy interval as measured by
+// the supervisor (detection + backed-off restart + health confirmation):
+// the killstorm's own CSDownFor, i.e. the supervisor must beat what an
+// unsupervised restore would have done.
+const maxRecovery = time.Minute
+
 // RecoveryConfig parameterises the recovery soak: the chaos soak's Botfarm
 // demo with a 3-member containment cluster, the "killstorm" fault profile
 // (a sustained round-robin kill schedule), and the supervisor attached.
 // Where the plain chaos soak proves graceful degradation, the recovery soak
 // proves self-healing: every kill must be detected, failed over, and
-// repaired within MaxRecovery — with containment never opening up.
+// repaired within maxRecovery — with containment never opening up.
 type RecoveryConfig struct {
 	Seed    int64
 	Sharded bool
 	Workers int
-
-	// MaxRecovery bounds each crash's down→healthy interval as measured by
-	// the supervisor (detection + backed-off restart + health confirmation).
-	// Default 1 virtual minute — the killstorm's own CSDownFor, i.e. the
-	// supervisor must beat what an unsupervised restore would have done.
-	MaxRecovery time.Duration
 }
 
 // RecoveryOutcome is the chaos outcome plus the recovery measurements.
@@ -39,9 +39,6 @@ type RecoveryOutcome struct {
 // probe escapes, an empty flow table after drain, exact telemetry, and
 // every crashed server healthy again).
 func RunRecoverySoak(cfg RecoveryConfig) (*RecoveryOutcome, error) {
-	if cfg.MaxRecovery == 0 {
-		cfg.MaxRecovery = time.Minute
-	}
 	profile, err := chaos.Parse("killstorm")
 	if err != nil {
 		return nil, err
@@ -63,9 +60,9 @@ func RunRecoverySoak(cfg RecoveryConfig) (*RecoveryOutcome, error) {
 		if d > out.MaxObserved {
 			out.MaxObserved = d
 		}
-		if d > cfg.MaxRecovery {
+		if d > maxRecovery {
 			out.Problems = append(out.Problems,
-				"recovery took "+d.String()+", bound is "+cfg.MaxRecovery.String())
+				"recovery took "+d.String()+", bound is "+maxRecovery.String())
 		}
 	}
 	return out, nil

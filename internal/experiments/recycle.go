@@ -3,17 +3,12 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"time"
 
 	"gq/internal/chaos"
 	"gq/internal/farm"
-	"gq/internal/malware"
-	"gq/internal/netstack"
 	"gq/internal/obs"
-	"gq/internal/policy"
 	"gq/internal/rawiron"
-	"gq/internal/smtpx"
 )
 
 // RecycleConfig parameterises the recycling soak: several subfarms of
@@ -116,55 +111,16 @@ type RecycleOutcome struct {
 // and every flow table drains empty.
 func RunRecycleSoak(cfg RecycleConfig) (*RecycleOutcome, error) {
 	cfg = cfg.withDefaults()
-	var f *farm.Farm
-	if cfg.Sharded {
-		f = farm.NewSharded(cfg.Seed, cfg.Workers)
-	} else {
-		f = farm.New(cfg.Seed)
-	}
-	out := &RecycleOutcome{Farm: f}
-
-	// Journal first, so the determinism comparison covers the whole run.
-	var journal bytes.Buffer
-	sink := f.Sim.Obs().Journal.AttachNDJSON(&journal)
-
-	ccAddr := netstack.MustParseAddr("50.8.207.91")
-	ccHost := f.AddExternalHost("steephost", ccAddr)
-	if _, err := malware.NewCCServer(ccHost, malware.CCConfig{
-		Template: "pharma special",
-		Targets: []netstack.Addr{
-			netstack.MustParseAddr("203.0.113.25"),
-			netstack.MustParseAddr("203.0.113.26"),
-		},
-		Forbidden: []string{"DDOS 203.0.113.99"},
-	}); err != nil {
+	s, err := newSoak(cfg.Seed, cfg.Sharded, cfg.Workers, 1, nil)
+	if err != nil {
 		return nil, err
 	}
+	f := s.f
+	out := &RecycleOutcome{Farm: f}
 
 	recyclers := make([]*farm.Recycler, 0, cfg.Subfarms)
 	for i := 0; i < cfg.Subfarms; i++ {
-		lo := uint16(16 + 16*i)
-		// Inmate VLANs [lo, lo+Machines-1]; headroom above for the
-		// containment probe's own inmate.
-		policyText := fmt.Sprintf("[VLAN %d-%d]\n", lo, lo+uint16(cfg.Machines)-1) +
-			"Decider = Rustock\nInfection = rustock.100921.*.exe\n"
-		sf, err := f.AddSubfarm(farm.SubfarmConfig{
-			Name:   fmt.Sprintf("Iron%d", i),
-			VLANLo: lo, VLANHi: lo + uint16(cfg.Machines) + 3,
-			ServiceVLAN:  lo - 5,
-			GlobalPool:   netstack.MustParsePrefix(fmt.Sprintf("192.0.%d.0/24", 2+i)),
-			InfraPool:    netstack.MustParsePrefix(fmt.Sprintf("192.0.%d.0/24", 32+i)),
-			PolicyConfig: policyText,
-			SampleLibrary: []*policy.Sample{
-				policy.NewSample("rustock.100921.001.exe", "rustock", []byte("MZ-rustock-1")),
-			},
-			RepeatBatches: true,
-			CCHosts: map[string]policy.AddrPort{
-				"Rustock": {Addr: ccAddr, Port: 443},
-			},
-			SinkDropProb:   0.2,
-			SinkStrictness: smtpx.Lenient,
-		})
+		sf, err := s.addRustockSubfarm(fmt.Sprintf("Iron%d", i), i, uint16(16+16*i), cfg.Machines, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -217,28 +173,12 @@ func RunRecycleSoak(cfg RecycleConfig) (*RecycleOutcome, error) {
 		out.Probes = append(out.Probes, probe)
 	}
 
-	for _, sf := range out.Subfarms {
-		vlans := make([]int, 0, len(sf.Inmates))
-		for vlan := range sf.Inmates {
-			vlans = append(vlans, int(vlan))
-		}
-		sort.Ints(vlans)
-		for _, vlan := range vlans {
-			sf.Inmates[uint16(vlan)].Terminate()
-		}
-	}
-	f.Run(12 * time.Minute)
-
-	if err := sink.Flush(); err != nil {
+	s.terminate()
+	if out.Journal, err = s.drain(); err != nil {
 		return nil, err
 	}
-	out.Journal = append([]byte(nil), journal.Bytes()...)
 
 	// --- Invariant checks ---
-	bad := func(format string, args ...any) {
-		out.Problems = append(out.Problems, fmt.Sprintf(format, args...))
-	}
-
 	for i, sf := range out.Subfarms {
 		rec, ri := recyclers[i], sf.RawIron
 		out.Cycles += rec.Cycles
@@ -251,7 +191,7 @@ func RunRecycleSoak(cfg RecycleConfig) (*RecycleOutcome, error) {
 		out.FaultsInjected += ri.FaultsInjected
 
 		if rec.Cycles < cfg.MinCyclesPerSubfarm {
-			bad("%s completed %d cycles, want >= %d — the habitat's pipeline stalled",
+			s.bad("%s completed %d cycles, want >= %d — the habitat's pipeline stalled",
 				sf.Name, rec.Cycles, cfg.MinCyclesPerSubfarm)
 		}
 		// Supervision invariant: every fault path ends terminal. A busy
@@ -259,41 +199,37 @@ func RunRecycleSoak(cfg RecycleConfig) (*RecycleOutcome, error) {
 		// state but Running/Quarantined is a transition that never landed.
 		for _, m := range ri.Machines() {
 			if m.Busy() {
-				bad("%s machine %s still busy after settle (state %v)", sf.Name, m.Name, m.State)
+				s.bad("%s machine %s still busy after settle (state %v)", sf.Name, m.Name, m.State)
 			}
 			if m.State != rawiron.Running && m.State != rawiron.Quarantined {
-				bad("%s machine %s in non-terminal state %v", sf.Name, m.Name, m.State)
+				s.bad("%s machine %s in non-terminal state %v", sf.Name, m.Name, m.State)
 			}
 		}
 		// Every failure is either a retry or a breaker trip, and every
 		// trip dropped exactly one member from rotation.
 		if ri.Failures != ri.Retries+ri.Quarantines {
-			bad("%s failure accounting drift: %d failures != %d retries + %d quarantines",
+			s.bad("%s failure accounting drift: %d failures != %d retries + %d quarantines",
 				sf.Name, ri.Failures, ri.Retries, ri.Quarantines)
 		}
 		if rec.Lost != ri.Quarantines {
-			bad("%s lost %d members but breaker tripped %d times", sf.Name, rec.Lost, ri.Quarantines)
+			s.bad("%s lost %d members but breaker tripped %d times", sf.Name, rec.Lost, ri.Quarantines)
 		}
-		if n := sf.Router.ActiveFlows(); n != 0 {
-			bad("%s flow table leaked: %d entries after drain", sf.Name, n)
-		}
-		if escaped := out.Probes[i].Escaped(); len(escaped) > 0 {
-			bad("%s containment probe escaped: %v", sf.Name, escaped)
-		}
+		s.checkDrained(sf)
+		s.checkProbe(sf.Name, out.Probes[i])
 	}
 
 	if out.Cycles < cfg.MinCycles {
-		bad("farm completed %d cycles, want >= %d", out.Cycles, cfg.MinCycles)
+		s.bad("farm completed %d cycles, want >= %d", out.Cycles, cfg.MinCycles)
 	}
 	if cfg.Profile.ReimageFaultsActive() {
 		if out.FaultsInjected == 0 {
-			bad("reimage-fault profile active but no faults injected")
+			s.bad("reimage-fault profile active but no faults injected")
 		}
 		// The pipeline rolls at most one fault per attempt and every
 		// injected fault fails that attempt; nominal timings never miss a
 		// deadline on their own, so the two counts must agree exactly.
 		if out.Failures != out.FaultsInjected {
-			bad("fault accounting drift: %d injected faults but %d attempt failures",
+			s.bad("fault accounting drift: %d injected faults but %d attempt failures",
 				out.FaultsInjected, out.Failures)
 		}
 	}
@@ -301,30 +237,31 @@ func RunRecycleSoak(cfg RecycleConfig) (*RecycleOutcome, error) {
 	snap := f.Sim.Obs().Snapshot()
 	out.Snapshot = snap
 	if got := snap.Counter("rawiron.retries"); got != uint64(out.Retries) {
-		bad("telemetry drift: rawiron.retries counter %d, controllers counted %d", got, out.Retries)
+		s.bad("telemetry drift: rawiron.retries counter %d, controllers counted %d", got, out.Retries)
 	}
 	if got := snap.Counter("rawiron.quarantined"); got != uint64(out.Quarantines) {
-		bad("telemetry drift: rawiron.quarantined counter %d, controllers counted %d", got, out.Quarantines)
+		s.bad("telemetry drift: rawiron.quarantined counter %d, controllers counted %d", got, out.Quarantines)
 	}
 	if got := snap.Counter("rawiron.faults_injected"); got != uint64(out.FaultsInjected) {
-		bad("telemetry drift: rawiron.faults_injected counter %d, controllers counted %d", got, out.FaultsInjected)
+		s.bad("telemetry drift: rawiron.faults_injected counter %d, controllers counted %d", got, out.FaultsInjected)
 	}
 	if got := snap.Counter("lifecycle.recycled"); got != uint64(out.Cycles) {
-		bad("telemetry drift: lifecycle.recycled counter %d, recyclers counted %d", got, out.Cycles)
+		s.bad("telemetry drift: lifecycle.recycled counter %d, recyclers counted %d", got, out.Cycles)
 	}
 	// The journal must carry the same story the counters tell: one
 	// recycled event per completed cycle, one retry event per retry.
 	if got := bytes.Count(out.Journal, []byte(`"type":"lifecycle.recycled"`)); got != out.Cycles {
-		bad("journal drift: %d lifecycle.recycled events, recyclers counted %d", got, out.Cycles)
+		s.bad("journal drift: %d lifecycle.recycled events, recyclers counted %d", got, out.Cycles)
 	}
 	if got := bytes.Count(out.Journal, []byte(`"type":"rawiron.retry"`)); got != out.Retries {
-		bad("journal drift: %d rawiron.retry events, controllers counted %d", got, out.Retries)
+		s.bad("journal drift: %d rawiron.retry events, controllers counted %d", got, out.Retries)
 	}
 	if problems := f.Reporter(false).CrossCheck(); len(problems) != 0 {
-		bad("reporter cross-check: %v", problems)
+		s.bad("reporter cross-check: %v", problems)
 	}
 
 	active := cfg.Duration + cfg.Settle
 	out.SpecimensPerDay = float64(out.Cycles) * float64(24*time.Hour) / float64(active)
+	out.Problems = s.problems
 	return out, nil
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 
 	"gq/internal/chaos"
@@ -20,13 +18,9 @@ func TestRecycleSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const seed = 11
-
-	var refJournal []byte
-	var refSnap any
-	for _, workers := range []int{1, 2, 4} {
+	checkAcrossWorkers(t, "recycle/seed=11", func(workers int) ([]byte, any) {
 		out, err := RunRecycleSoak(RecycleConfig{
-			Seed: seed, Profile: profile, Sharded: true, Workers: workers,
+			Seed: 11, Profile: profile, Sharded: true, Workers: workers,
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -37,17 +31,6 @@ func TestRecycleSoak(t *testing.T) {
 		t.Logf("workers=%d: cycles=%d (%.1f specimens/day) captures=%d reimages=%d faults=%d retries=%d quarantined=%d lost=%d journal=%dB",
 			workers, out.Cycles, out.SpecimensPerDay, out.Captures, out.Reimages,
 			out.FaultsInjected, out.Retries, out.Quarantines, out.Lost, len(out.Journal))
-		if workers == 1 {
-			checkJournalPin(t, "recycle/seed=11", out.Journal)
-			refJournal, refSnap = out.Journal, out.Snapshot
-			continue
-		}
-		if !bytes.Equal(refJournal, out.Journal) {
-			t.Errorf("workers=%d: journal differs from workers=1 (%d vs %d bytes) — the recycling pipeline is not deterministic",
-				workers, len(out.Journal), len(refJournal))
-		}
-		if !reflect.DeepEqual(refSnap, out.Snapshot) {
-			t.Errorf("workers=%d: metrics snapshot differs from workers=1", workers)
-		}
-	}
+		return out.Journal, out.Snapshot
+	})
 }

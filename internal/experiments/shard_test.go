@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 
 	"gq/internal/chaos"
@@ -13,20 +11,15 @@ import (
 // verdict stall, sink outage, containment probe — run supervised with
 // per-subfarm simulation domains at 1, 2 and 4 workers must produce
 // byte-identical NDJSON journals (per-endpoint health transitions
-// included) and identical metric snapshots. Worker count only decides
-// which OS thread runs a domain's window; it must never leak into results.
+// included) and identical metric snapshots.
 func TestShardDeterminism(t *testing.T) {
 	profile, err := chaos.Parse("soak")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const seed = 7
-
-	var refJournal []byte
-	var refSnap any
-	for _, workers := range []int{1, 2, 4} {
+	checkAcrossWorkers(t, "shard/seed=7", func(workers int) ([]byte, any) {
 		out, err := RunChaosSoak(ChaosConfig{
-			Seed: seed, Profile: profile, Sharded: true, Workers: workers,
+			Seed: 7, Profile: profile, Sharded: true, Workers: workers,
 			Supervise: true,
 		})
 		if err != nil {
@@ -38,17 +31,6 @@ func TestShardDeterminism(t *testing.T) {
 		t.Logf("workers=%d: flows=%d verdicts=%d crashes=%d failclosed=%d probe=[%s] journal=%dB",
 			workers, out.FlowsCreated, out.Verdicts, out.Injector.Crashes,
 			out.FlowsFailClosed, out.Probe, len(out.Journal))
-		if workers == 1 {
-			checkJournalPin(t, "shard/seed=7", out.Journal)
-			refJournal, refSnap = out.Journal, out.Snapshot
-			continue
-		}
-		if !bytes.Equal(refJournal, out.Journal) {
-			t.Errorf("workers=%d: journal differs from workers=1 (%d vs %d bytes) — sharded execution is not deterministic",
-				workers, len(out.Journal), len(refJournal))
-		}
-		if !reflect.DeepEqual(refSnap, out.Snapshot) {
-			t.Errorf("workers=%d: metrics snapshot differs from workers=1", workers)
-		}
-	}
+		return out.Journal, out.Snapshot
+	})
 }

@@ -92,23 +92,17 @@ func New(seed int64) *Farm {
 	return build(seed, nil, 0)
 }
 
-// NewSharded builds the farm skeleton for sharded execution: every
-// subsequently added subfarm gets its own simulation domain, external
-// hosts land in one dedicated external domain, and Run drives the domains
-// on up to workers goroutines under conservative lookahead
-// synchronization (netsim.TrunkLatency — the modeled trunk latency).
-// Results are byte-identical to each other for a given seed regardless of
-// the worker count, though not to the single-domain farm: the trunk
-// latency shifts event timing.
-func NewSharded(seed int64, workers int) *Farm {
-	return NewShardedN(seed, workers, 1)
-}
-
-// NewShardedN is NewSharded with an explicit external shard count: the
-// flat Internet segment is split across extShards dedicated domains and
-// AddExternalHost hash-assigns each host to one of them, so sink- and
+// NewShardedN builds the farm skeleton for sharded execution: every
+// subsequently added subfarm gets its own simulation domain, the flat
+// Internet segment is split across extShards dedicated external domains
+// (AddExternalHost hash-assigns each host to one of them, so sink- and
 // C&C-heavy workloads spread across shards instead of serializing on the
-// root. extShards < 1 selects 1.
+// root), and Run drives the domains on up to workers goroutines under
+// conservative lookahead synchronization (netsim.TrunkLatency — the
+// modeled trunk latency). Results are byte-identical to each other for a
+// given seed and extShards regardless of the worker count, though not to
+// the single-domain farm: the trunk latency shifts event timing.
+// extShards < 1 selects 1.
 func NewShardedN(seed int64, workers, extShards int) *Farm {
 	if extShards < 1 {
 		extShards = 1

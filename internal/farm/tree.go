@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"fmt"
 	"time"
 
 	"gq/internal/supervisor"
@@ -73,7 +74,9 @@ func (f *Farm) controllerDown(from string) {
 	}
 	f.ctlRestarted = true
 	f.ctlRestartAt = now
-	f.restartController()
+	// A failed rebind leaves the controller down; the next report past
+	// the dedup window retries.
+	_ = f.restartController()
 }
 
 // controllerUp receives the matching recovery report.
@@ -85,13 +88,15 @@ func (f *Farm) controllerUp(from string) {
 
 // restartController power-cycles the inmate controller host and rebinds
 // the control listener, replaying the addressing snapshot taken at
-// build. Runs on the root domain goroutine.
-func (f *Farm) restartController() {
+// build. Runs on the root domain goroutine. A failed rebind is returned
+// and leaves the host without a control listener.
+func (f *Farm) restartController() error {
 	h := f.ControllerHost
 	h.Reset()
 	h.ConfigureStatic(f.ctlAddr, f.ctlBits, 0)
 	if err := f.Controller.Rebind(); err != nil {
-		panic("farm: controller rebind failed: " + err.Error())
+		return fmt.Errorf("controller rebind: %w", err)
 	}
 	h.AnnounceARP()
+	return nil
 }

@@ -84,7 +84,7 @@ type Port struct {
 	// simulation. Loss-model drops and admin-down drops are distinct
 	// series so injected impairment is distinguishable from a pulled
 	// cable in the journal.
-	lossDrops, downDrops, rxDrops     *obs.Counter
+	lossDrops, downDrops, rxDrops      *obs.Counter
 	dupFrames, corruptFrames, reorders *obs.Counter
 }
 

@@ -13,19 +13,19 @@ import (
 // Event types recorded by the farm. The set is small and closed on purpose:
 // each names an operationally meaningful state change, not a packet.
 const (
-	EvFlowCreated  = "flow.created"        // gateway admitted a new flow into the table
-	EvFlowVerdict  = "flow.verdict"        // containment server's verdict applied to a flow
-	EvFlowClosed   = "flow.closed"         // flow left the table (Detail = reason)
+	EvFlowCreated  = "flow.created"         // gateway admitted a new flow into the table
+	EvFlowVerdict  = "flow.verdict"         // containment server's verdict applied to a flow
+	EvFlowClosed   = "flow.closed"          // flow left the table (Detail = reason)
 	EvTriggerFired = "policy.trigger_fired" // a containment trigger's action fired
-	EvNATExhausted = "nat.exhausted"       // NAT pool had no free address for an inmate
-	EvFlowShed     = "flow.shed"           // bounded flow table evicted an LRU flow under pressure
-	EvSweepReaped  = "sweep.reaped"        // periodic sweep reaped stale flows (N = count)
+	EvNATExhausted = "nat.exhausted"        // NAT pool had no free address for an inmate
+	EvFlowShed     = "flow.shed"            // bounded flow table evicted an LRU flow under pressure
+	EvSweepReaped  = "sweep.reaped"         // periodic sweep reaped stale flows (N = count)
 	// EvFlowFailClosed marks a flow resolved fail-closed: its containment
 	// server died (or stalled past AwaitVerdictTimeout) before delivering a
 	// verdict, so the gateway recorded a synthetic Drop and RST both legs.
 	// Distinct from EvFlowVerdict — no verdict crossed the wire.
 	EvFlowFailClosed = "flow.failclosed"
-	EvGRETunnelUp  = "gre.tunnel_up"       // first packet through a GRE tunnel endpoint
+	EvGRETunnelUp    = "gre.tunnel_up" // first packet through a GRE tunnel endpoint
 	// EvGRETunnelDown is reserved: tunnels currently live for the whole
 	// experiment, so nothing emits it yet, but consumers should treat it
 	// as part of the vocabulary.

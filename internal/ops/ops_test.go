@@ -202,6 +202,10 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("unknown policy answered %d", code)
 	}
 	if code := postJSON(t, ts.URL+"/chaos",
+		map[string]any{"subfarm": "Botfarm", "spec": "loss=2"}, nil); code != 400 {
+		t.Fatalf("out-of-range chaos spec answered %d", code)
+	}
+	if code := postJSON(t, ts.URL+"/chaos",
 		map[string]any{"subfarm": "Botfarm", "spec": "loss=0.05"}, nil); code != 200 {
 		t.Fatalf("chaos inject: %d", code)
 	}

@@ -2,6 +2,8 @@ package supervisor
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -57,7 +59,7 @@ func TestRootDedupsControllerDown(t *testing.T) {
 	r := NewRoot(RootDeps{
 		Sim:               s,
 		ControllerHost:    host.New(s, "controller", netstack.MAC{2, 0, 0, 0, 0, 1}),
-		RestartController: func() { restarts++ },
+		RestartController: func() error { restarts++; return nil },
 	}, Config{BreakerThreshold: 2})
 
 	for _, from := range []string{"Alpha", "Beta", "Alpha"} {
@@ -84,21 +86,65 @@ func TestRootDedupsControllerDown(t *testing.T) {
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	count := func(typ string) int {
-		n := 0
-		for _, line := range bytes.Split(journal.Bytes(), []byte("\n")) {
+	checkControllerEvents(t, journal.Bytes(), map[string]int{
+		EvEndpointDown: 1, EvEndpointRestart: 2, EvEndpointQuarantine: 1, EvEndpointUp: 0,
+	})
+}
+
+// A controller restart that fails to rebind leaves nothing to probe: the
+// root quarantines the controller on the spot — one quarantine, a dump
+// naming the error — and never restarts it again, however many reports
+// follow.
+func TestRootQuarantinesOnFailedRestart(t *testing.T) {
+	s := sim.New(1)
+	var journal bytes.Buffer
+	sink := s.Obs().Journal.AttachNDJSON(&journal)
+	restarts := 0
+	r := NewRoot(RootDeps{
+		Sim:            s,
+		ControllerHost: host.New(s, "controller", netstack.MAC{2, 0, 0, 0, 0, 1}),
+		RestartController: func() error {
+			restarts++
+			return errors.New("listen: address in use")
+		},
+	}, Config{})
+
+	r.ReportControllerDown("Alpha")
+	s.RunFor(time.Minute)
+	r.ReportControllerDown("Beta")
+	s.RunFor(time.Minute)
+	if restarts != 1 || r.ControllerHealthy() {
+		t.Fatalf("%d restarts, healthy %v; want 1 and quarantined", restarts, r.ControllerHealthy())
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	checkControllerEvents(t, journal.Bytes(), map[string]int{
+		EvEndpointDown: 1, EvEndpointRestart: 1, EvEndpointQuarantine: 1, EvEndpointUp: 0,
+	})
+	named := false
+	for _, d := range s.Obs().Journal.Dumps() {
+		named = named || strings.Contains(d.Reason, "restart failed: listen: address in use")
+	}
+	if !named {
+		t.Error("no flight-recorder dump names the restart error")
+	}
+}
+
+// checkControllerEvents counts the journal's controller events of each
+// type against want.
+func checkControllerEvents(t *testing.T, journal []byte, want map[string]int) {
+	t.Helper()
+	for typ, n := range want {
+		got := 0
+		for _, line := range bytes.Split(journal, []byte("\n")) {
 			if bytes.Contains(line, []byte(`"type":"`+typ+`"`)) &&
 				bytes.Contains(line, []byte(`"detail":"controller:controller`)) {
-				n++
+				got++
 			}
 		}
-		return n
-	}
-	for typ, want := range map[string]int{
-		EvEndpointDown: 1, EvEndpointRestart: 2, EvEndpointQuarantine: 1, EvEndpointUp: 0,
-	} {
-		if got := count(typ); got != want {
-			t.Errorf("journal has %d %s events for the controller, want %d", got, typ, want)
+		if got != n {
+			t.Errorf("journal has %d %s events for the controller, want %d", got, typ, n)
 		}
 	}
 }

@@ -61,9 +61,10 @@ type RootDeps struct {
 	Sim *sim.Simulator
 	// ControllerHost, when non-nil, is the inmate controller's host;
 	// RestartController power-cycles it (reset, re-address, rebind). Both
-	// live on the root domain.
+	// live on the root domain. A restart that returns an error leaves
+	// nothing to probe, so the root quarantines the controller.
 	ControllerHost    *host.Host
-	RestartController func()
+	RestartController func() error
 }
 
 type subLink struct {
@@ -322,15 +323,23 @@ func (r *Root) ReportControllerUp(from string) {
 func (r *Root) scheduleCtlRestart() {
 	ep := r.ctl
 	if !ep.climb(r.s, r.restartCtl) {
-		ep.quarantined = true
-		r.quarantines.Inc()
-		r.sc.Emit(obs.Event{Type: EvEndpointQuarantine, Detail: "controller:controller"})
-		r.sc.Dump("inmate controller quarantined (restart breaker tripped); dead-man clock running")
+		r.quarantineCtl("restart breaker tripped")
 	}
+}
+
+// quarantineCtl takes the controller out of the restart ladder for good;
+// why names the cause in the flight-recorder dump. The dead-man clock
+// started by its down-report keeps running.
+func (r *Root) quarantineCtl(why string) {
+	r.ctl.quarantined = true
+	r.quarantines.Inc()
+	r.sc.Emit(obs.Event{Type: EvEndpointQuarantine, Detail: "controller:controller"})
+	r.sc.Dump("inmate controller quarantined (" + why + "); dead-man clock running")
 }
 
 // restartCtl fires one controller restart. Subfarm probes confirm
 // recovery; if none has within two probe cycles, the ladder climbs again.
+// A restart that fails quarantines the controller.
 func (r *Root) restartCtl() {
 	ep := r.ctl
 	ep.restartPend = false
@@ -341,7 +350,10 @@ func (r *Root) restartCtl() {
 	r.restartsTotal.Inc()
 	r.sc.Emit(obs.Event{Type: EvEndpointRestart, Detail: "controller:controller"})
 	if r.deps.RestartController != nil {
-		r.deps.RestartController()
+		if err := r.deps.RestartController(); err != nil {
+			r.quarantineCtl("restart failed: " + err.Error())
+			return
+		}
 	}
 	r.s.Schedule(2*r.cfg.HeartbeatEvery, func() {
 		if !ep.healthy && !ep.restartPend && !ep.quarantined {
